@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.experiments.config import PRESETS
 from repro.experiments.runner import run_single
+from repro.hfl.telemetry import TelemetryRecorder
 from repro.hfl.trainer import TrainingResult
 from repro.obs import (
     EventLog,
@@ -79,9 +80,7 @@ def identical(a: TrainingResult, b: TrainingResult) -> bool:
 def observed_run(config, sampler: str, log_path: Path):
     """One run with every sink attached (event log on real disk)."""
     obs = Observability.enabled(events=EventLog(log_path))
-    result = run_single(
-        config, sampler, telemetry=obs.telemetry_recorder(), obs=obs
-    )
+    result = run_single(config, sampler, telemetry=TelemetryRecorder(), obs=obs)
     obs.close()
     return result, obs
 
@@ -122,9 +121,7 @@ def sinks_run(config, sampler: str, log_path: Path):
         resources=ResourceAccountant(metrics),
         health=HealthMonitor(metrics),
     )
-    result = run_single(
-        config, sampler, telemetry=obs.telemetry_recorder(), obs=obs
-    )
+    result = run_single(config, sampler, telemetry=TelemetryRecorder(), obs=obs)
     obs.close()
     return result, obs
 

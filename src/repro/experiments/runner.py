@@ -719,9 +719,7 @@ def _run_command(args) -> int:
     obs = _build_observability(args, config)
 
     telemetry = None
-    if obs is not None:
-        telemetry = obs.telemetry_recorder()
-    elif args.fault_profile is not None or args.churn is not None:
+    if obs is not None or args.fault_profile is not None or args.churn is not None:
         from repro.hfl.telemetry import TelemetryRecorder
 
         telemetry = TelemetryRecorder()

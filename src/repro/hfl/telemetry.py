@@ -1,7 +1,8 @@
 """Per-step telemetry for HFL runs.
 
 A :class:`TelemetryRecorder` can be attached to
-:class:`~repro.hfl.trainer.HFLTrainer` to capture, for every (step,
+:class:`~repro.hfl.trainer.HFLTrainer` (it subscribes to the run's
+:class:`repro.obs.Observability` handle) to capture, for every (step,
 edge) round: the member set size, the sampling strategy's spread, the
 realized participant count and the participants' gradient statistics.
 The derived metrics — participation fairness, probability concentration
@@ -37,6 +38,34 @@ class EdgeRoundRecord:
     prob_min: float
     mean_grad_sq_norm: Optional[float]
     mean_loss: Optional[float]
+
+    @classmethod
+    def of_round(
+        cls,
+        t: int,
+        edge: int,
+        members: np.ndarray,
+        probabilities: np.ndarray,
+        participant_ids: List[int],
+        grad_sq_norms: List[float],
+        losses: List[float],
+    ) -> "EdgeRoundRecord":
+        """Summarize one finished round (the ``record_round`` arguments)."""
+        if len(members) != len(probabilities):
+            raise ValueError("members and probabilities must align")
+        return cls(
+            t=t,
+            edge=edge,
+            num_members=len(members),
+            num_participants=len(participant_ids),
+            prob_sum=float(np.sum(probabilities)) if len(probabilities) else 0.0,
+            prob_max=float(np.max(probabilities)) if len(probabilities) else 0.0,
+            prob_min=float(np.min(probabilities)) if len(probabilities) else 0.0,
+            mean_grad_sq_norm=(
+                float(np.mean(grad_sq_norms)) if grad_sq_norms else None
+            ),
+            mean_loss=float(np.mean(losses)) if losses else None,
+        )
 
     @property
     def prob_spread(self) -> float:
@@ -173,21 +202,10 @@ class TelemetryRecorder:
         grad_sq_norms: List[float],
         losses: List[float],
     ) -> None:
-        if len(members) != len(probabilities):
-            raise ValueError("members and probabilities must align")
         self.records.append(
-            EdgeRoundRecord(
-                t=t,
-                edge=edge,
-                num_members=len(members),
-                num_participants=len(participant_ids),
-                prob_sum=float(np.sum(probabilities)) if len(probabilities) else 0.0,
-                prob_max=float(np.max(probabilities)) if len(probabilities) else 0.0,
-                prob_min=float(np.min(probabilities)) if len(probabilities) else 0.0,
-                mean_grad_sq_norm=(
-                    float(np.mean(grad_sq_norms)) if grad_sq_norms else None
-                ),
-                mean_loss=float(np.mean(losses)) if losses else None,
+            EdgeRoundRecord.of_round(
+                t, edge, members, probabilities, participant_ids,
+                grad_sq_norms, losses,
             )
         )
         for device in participant_ids:
@@ -276,12 +294,12 @@ class TelemetryRecorder:
     def record_phase(self, phase: str, seconds: float) -> None:
         """Accumulate wall-clock time spent in one engine phase.
 
-        The trainer calls this once per phase per time step (and per
-        evaluation point for ``eval``).  Phase timings are host-specific
-        observability, *not* part of the deterministic run record: they
-        are deliberately excluded from :meth:`state_dict`, so a resumed
-        run's telemetry stream still compares equal to an uninterrupted
-        one bit for bit.
+        The observability handle calls this once per timed phase (plan /
+        execute / finish every step; sync / eval / checkpoint when they
+        run).  Phase timings are host-specific observability, *not* part
+        of the deterministic run record: they are deliberately excluded
+        from :meth:`state_dict`, so a resumed run's telemetry stream
+        still compares equal to an uninterrupted one bit for bit.
         """
         if seconds < 0:
             raise ValueError(f"phase seconds must be >= 0, got {seconds}")

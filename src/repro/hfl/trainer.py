@@ -53,7 +53,6 @@ streams — bit-identical histories, on every executor backend.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
@@ -210,11 +209,14 @@ class HFLTrainer:
     scripted populations this way).  See DESIGN.md §13.
 
     ``obs`` attaches a :class:`repro.obs.Observability` handle (event
-    log, span tracer, metrics registry, MACH audit trail — any subset).
-    Every sink is a pure observer: nothing it records feeds an RNG
-    stream, model/sampler state or a ``state_dict``, so an obs-enabled
-    run is bit-identical to an obs-disabled one on every executor
-    backend and under kill/resume.
+    log, span tracer, metrics, audit trail, profiler, resources, health
+    — any subset); without one the trainer holds an empty handle.
+    ``telemetry`` joins the handle's subscribers, and the trainer
+    reports each engine event once, to the handle.  Every sink is a
+    pure observer: nothing it records feeds an RNG stream, model/sampler
+    state or a ``state_dict`` (apart from the telemetry recorder's own
+    checkpointed stream), so an obs-enabled run is bit-identical to an
+    obs-disabled one on every executor backend and under kill/resume.
     """
 
     def __init__(
@@ -332,67 +334,19 @@ class HFLTrainer:
         #: bit-identical to the synchronous barrier path.
         self.incremental = False
 
-        # Observability sinks.  Imported lazily: repro.obs sits above
-        # repro.hfl in the dependency order (its bridge subclasses the
-        # telemetry recorder), so a module-level import would cycle.
-        from repro.obs.tracing import NULL_TRACER
+        # Observability: one handle receives every engine record.
+        # Imported lazily: repro.obs builds on repro.hfl's telemetry
+        # records, so a module-level import would cycle.
+        from repro.obs import Observability
 
-        self._obs = obs
-        self._tracer = obs.tracer if obs is not None else NULL_TRACER
-        self._events = obs.events if obs is not None else None
-        self._audit = obs.audit if obs is not None else None
-        self._metrics = obs.metrics if obs is not None else None
-        self._profiler = getattr(obs, "profiler", None) if obs is not None else None
-        self._resources = getattr(obs, "resources", None) if obs is not None else None
-        self._health = getattr(obs, "health", None) if obs is not None else None
-        self._last_health_verdict: Optional[str] = None
-        if self._tracer.enabled:
-            # Span tracing needs per-device spans: full item-granular
-            # timings (this switches the executors off their fused
-            # round paths — tracing is the expensive opt-in).
-            self.executor.enable_worker_timings()
-        elif self._profiler is not None:
-            # The continuous profiler only needs per-edge execute
-            # attribution: round-granular timings ride the unchanged
-            # fast path at one clock pair per round.
-            self.executor.enable_worker_timings(granularity="round")
-        if self._profiler is not None:
-            # Install the process-global site hook (repro.prof) so the
-            # mobility/aggregation hot paths self-report.
-            self._profiler.activate()
-        if self._resources is not None:
-            # Payload accounting is labeled by the run's actual
-            # topology/aggregation pair, whatever the accountant's
-            # construction defaults were.
-            self._resources.topology = self.topology.name
-            self._resources.aggregation = self.aggregation_strategy.name
-        # One model transfer's wire size: the flat parameter vector.
-        self._model_payload_bytes = int(self.cloud.model.nbytes)
-        if self._metrics is not None:
-            self._steps_counter = self._metrics.counter(
-                "repro_steps_total", "Completed HFL time steps"
-            )
-            self._checkpoint_counter = self._metrics.counter(
-                "repro_checkpoints_total", "Resumable checkpoints written"
-            )
-            self._sync_counter = self._metrics.counter(
-                "repro_syncs_total",
-                "Sync steps completed, by topology and aggregation strategy",
-            )
-            self._accuracy_gauge = self._metrics.gauge(
-                "repro_eval_accuracy", "Latest global-model test accuracy"
-            )
-            self._loss_gauge = self._metrics.gauge(
-                "repro_eval_loss", "Latest global-model test loss"
-            )
-            self._stale_buffer_gauge = self._metrics.gauge(
-                "repro_stale_buffer_size",
-                "Late uploads currently parked in the staleness buffer",
-            )
-            self._step_latency_gauge = self._metrics.gauge(
-                "repro_step_latency_seconds",
-                "Wall-clock of the most recent full engine step",
-            )
+        self.obs = obs if obs is not None else Observability()
+        self.obs.bind(
+            telemetry,
+            self.executor,
+            self.topology.name,
+            self.aggregation_strategy.name,
+            model_bytes=self.cloud.model.nbytes,
+        )
 
         # Run-progress state, mutated by run() and snapshot by checkpoints.
         self._history = TrainingHistory()
@@ -418,11 +372,10 @@ class HFLTrainer:
     def close(self) -> None:
         """Release the executor's workers if the trainer created them.
 
-        Also uninstalls this trainer's profiler from the process-global
-        hook so instrumentation never outlives the run.
+        Also unbinds the observability handle, so no process-global
+        instrumentation outlives the run.
         """
-        if self._profiler is not None:
-            self._profiler.deactivate()
+        self.obs.unbind()
         if self._owns_executor:
             self.executor.close()
 
@@ -465,18 +418,11 @@ class HFLTrainer:
             probabilities,
             rng=self._seeds.round_generator(t, edge.edge_id, "participation"),
         )
-        if self._audit is not None:
-            # Decision audit: candidate scores, probabilities and the
-            # drawn indicators, recorded after the draw so the trail
-            # observes the round without touching its random stream.
-            self._audit.record_round(
-                t,
-                edge.edge_id,
-                members,
-                probabilities,
-                indicators,
-                components=self.sampler.audit_components(members),
-            )
+        # Reported after the draw, so observing the round never touches
+        # its random stream.
+        self.obs.sampling(
+            t, edge.edge_id, members, probabilities, indicators, self.sampler
+        )
         items = tuple(
             LocalUpdateItem(
                 step=t,
@@ -594,28 +540,16 @@ class HFLTrainer:
             # IPW weights.
             renormalize=bool(failures) or bool(parked),
         )
-        if self.telemetry is not None:
-            participants = [int(m) for m in pending.members if int(m) in results]
-            self.telemetry.record_round(
-                t,
-                pending.edge.edge_id,
-                pending.members,
-                pending.probabilities,
-                participants,
-                [results[m].mean_grad_sq_norm for m in participants],
-                [results[m].mean_loss for m in participants],
-            )
-            self.telemetry.record_faults(
-                t, pending.edge.edge_id, failures, num_sampled
-            )
-        if self._resources is not None and num_sampled:
-            # Comms accounting: every sampled device pulled the edge
-            # model; all but the parked stragglers pushed a reply now.
-            self._resources.record_device_round(
-                downloads=num_sampled,
-                uploads=num_sampled - len(parked),
-                model_bytes=self._model_payload_bytes,
-            )
+        self.obs.round(
+            t,
+            pending.edge.edge_id,
+            pending.members,
+            pending.probabilities,
+            results,
+            failures,
+            num_sampled,
+            num_parked=len(parked),
+        )
         return len(results)
 
     def _park_uploads(
@@ -659,8 +593,7 @@ class HFLTrainer:
                     mean_loss=float(result.mean_loss),
                 )
             )
-        if self._metrics is not None:
-            self._stale_buffer_gauge.set(float(len(self._stale_buffer)))
+        self.obs.stale_buffer(len(self._stale_buffer))
 
     def _admit_stale(self, t: int) -> None:
         """Admit (or drop) the buffered uploads due at step ``t``.
@@ -679,8 +612,6 @@ class HFLTrainer:
         due = [u for u in self._stale_buffer if u.admit_step <= t]
         if not due:
             return
-        admit_wall0 = time.perf_counter()
-        admits_before = self._late_admits
         self._stale_buffer = [u for u in self._stale_buffer if u.admit_step > t]
         due.sort(key=lambda u: (u.born_step, u.edge, u.device))
         for upload in due:
@@ -691,10 +622,9 @@ class HFLTrainer:
                 # The straggler de-enrolled before its upload landed.
                 self._late_drops += 1
                 self.sampler.observe_failure(t, upload.device)
-                if self.telemetry is not None:
-                    self.telemetry.record_late_drop(
-                        t, upload.edge, upload.device, upload.born_step, age
-                    )
+                self.obs.late_drop(
+                    t, upload.edge, upload.device, upload.born_step, age
+                )
                 continue
             scale = (self._staleness_discount ** age) * upload.weight
             edge = self.edges[upload.edge]
@@ -706,24 +636,10 @@ class HFLTrainer:
             self._participation_counts[upload.device] += 1
             self._total_participants += 1
             self._late_admits += 1
-            if self.telemetry is not None:
-                self.telemetry.record_late_admit(
-                    t,
-                    upload.edge,
-                    upload.device,
-                    upload.born_step,
-                    age,
-                    scale,
-                )
-        if self._metrics is not None:
-            self._stale_buffer_gauge.set(float(len(self._stale_buffer)))
-        if self._resources is not None:
-            self._resources.record_stale_admit(
-                self._late_admits - admits_before, self._model_payload_bytes
+            self.obs.late_admit(
+                t, upload.edge, upload.device, upload.born_step, age, scale
             )
-            self._resources.record_wait(
-                "stale_admit", time.perf_counter() - admit_wall0
-            )
+        self.obs.stale_buffer(len(self._stale_buffer))
 
     def _apply_churn(self, t: int) -> None:
         """Advance the churn process one step and notify the sampler.
@@ -740,58 +656,45 @@ class HFLTrainer:
             self.sampler.on_device_joined(t, m)
         self._devices_joined += len(step.joined)
         self._devices_left += len(step.left)
-        if self.telemetry is not None:
-            self.telemetry.record_churn(
-                t, step.joined, step.left, step.num_active
-            )
+        self.obs.churn(t, step.joined, step.left, step.num_active)
 
     def _train_step(self, t: int) -> int:
         """One full time step; returns the total participant count.
 
-        Phase wall-times (plan / execute / finish) land in the attached
-        telemetry recorder; the clock reads cost nanoseconds, so they
-        are taken unconditionally to keep one code path.  The span
-        tracer (a no-op unless observability is on) mirrors the phases
-        and hangs the worker-attributed edge-round / device-update
-        hierarchy under the execute span.
+        Each phase (plan / execute / finish) is one
+        :meth:`~repro.obs.Observability.phase` scope, timed by one clock
+        pair; the executor's worker timings are handed over inside the
+        execute scope, so they nest under that phase.
         """
-        clock = time.perf_counter
-        tracer = self._tracer
-        profiler = self._profiler
-        t0 = clock()
-        with tracer.span("plan"), self._profile_phase("plan"):
+        obs = self.obs
+        with obs.phase("plan"):
             if self.churn is not None:
                 # Population turnover lands before planning: this step's
                 # strategies see the post-churn member sets.
                 self._apply_churn(t)
             pending = [self._plan_round(t, edge) for edge in self.edges]
             active = [p for p in pending if p is not None]
-        t1 = clock()
         if self.incremental:
             # Incremental round pipeline: edge rounds stream back in
             # completion order and each is finished the moment every
             # lower-indexed round has finished — the finish phase of
             # early rounds overlaps the execute phase of late ones, but
             # the (edge, member) feedback order is exactly the barrier
-            # path's, so the result is bit-identical.
-            with tracer.span("execute"), self._profile_phase("execute"):
+            # path's, so the result is bit-identical.  The inline finish
+            # work is attributed to the finish phase.
+            with obs.phase("execute") as execute:
                 total, finish_seconds = self._run_step_incremental(t, active)
-                if tracer.enabled or profiler is not None:
-                    self._trace_worker_timings()
-            t2 = clock()
-            with tracer.span("finish"), self._profile_phase("finish"):
+                obs.worker_timings()
+                execute.adjust = -finish_seconds
+            with obs.phase("finish") as finish:
+                finish.adjust = finish_seconds
                 if self._max_staleness > 0:
                     self._admit_stale(t)
-            t3 = clock()
-            execute_seconds = (t2 - t1) - finish_seconds
-            finish_total = finish_seconds + (t3 - t2)
         else:
-            with tracer.span("execute"), self._profile_phase("execute"):
+            with obs.phase("execute"):
                 step_results = self.executor.run_step([p.plan for p in active])
-                if tracer.enabled or profiler is not None:
-                    self._trace_worker_timings()
-            t2 = clock()
-            with tracer.span("finish"), self._profile_phase("finish"):
+                obs.worker_timings()
+            with obs.phase("finish"):
                 total = sum(
                     self._finish_round(t, p, results)
                     for p, results in zip(active, step_results)
@@ -800,17 +703,6 @@ class HFLTrainer:
                     # Late uploads whose deadline extension expires this
                     # step join the post-round edge models.
                     self._admit_stale(t)
-            t3 = clock()
-            execute_seconds = t2 - t1
-            finish_total = t3 - t2
-        if self.telemetry is not None:
-            self.telemetry.record_phase("plan", t1 - t0)
-            self.telemetry.record_phase("execute", execute_seconds)
-            self.telemetry.record_phase("finish", finish_total)
-        if profiler is not None:
-            profiler.record_phase("plan", t1 - t0)
-            profiler.record_phase("execute", execute_seconds)
-            profiler.record_phase("finish", finish_total)
         return total
 
     def _run_step_incremental(
@@ -847,44 +739,6 @@ class HFLTrainer:
             )
         return total, finish_seconds
 
-    def _profile_phase(self, name: str):
-        """Phase-tagging scope for the profiler (no-op when off)."""
-        profiler = self._profiler
-        return profiler.phase_scope(name) if profiler is not None else nullcontext()
-
-    def _trace_worker_timings(self) -> None:
-        """Synthesize edge-round → device-update spans from the executor's
-        per-item worker timings (attributed to the worker that ran each
-        item, durations from the worker's own monotonic clock).  The same
-        drained rows feed the profiler's per-(step, edge) attribution."""
-        timings = self.executor.drain_worker_timings()
-        if not timings:
-            return
-        if self._profiler is not None:
-            self._profiler.observe_worker_timings(timings)
-        if not self._tracer.enabled:
-            return
-        by_edge: Dict[int, list] = {}
-        for wt in timings:
-            by_edge.setdefault(wt.edge, []).append(wt)
-        tracer = self._tracer
-        for edge_id in sorted(by_edge):
-            edge_timings = by_edge[edge_id]
-            edge_span = tracer.add_span(
-                "edge_round",
-                sum(wt.seconds for wt in edge_timings),
-                edge=edge_id,
-                devices=len(edge_timings),
-            )
-            for wt in edge_timings:
-                tracer.add_span(
-                    "device_update",
-                    wt.seconds,
-                    parent_id=edge_span,
-                    device=wt.device,
-                    worker=wt.worker,
-                )
-
     def _gather_uploads(self, t: int) -> List[np.ndarray]:
         """The per-edge models entering this sync step's exchange.
 
@@ -909,17 +763,13 @@ class HFLTrainer:
             # counts against the run's latency budget whether or not
             # the upload ultimately succeeded.
             self._sim_backoff_seconds += outcome.backoff_seconds
-            if self._resources is not None:
-                self._resources.record_wait("backoff", outcome.backoff_seconds)
             if outcome.success:
                 self._last_synced[n] = edge.model.copy()
                 uploads.append(edge.model)
             else:
                 uploads.append(self._last_synced[n])
-            if self.telemetry is not None and (
-                outcome.failed_attempts > 0 or not outcome.success
-            ):
-                self.telemetry.record_sync_attempt(
+            if outcome.failed_attempts > 0 or not outcome.success:
+                self.obs.sync_attempt(
                     t,
                     n,
                     outcome.failed_attempts,
@@ -944,18 +794,9 @@ class HFLTrainer:
         self.aggregation_strategy.apply(
             plan, uploads, counts, self.cloud, self.edges
         )
-        if self._metrics is not None:
-            self._sync_counter.inc(
-                topology=self.topology.name,
-                aggregation=self.aggregation_strategy.name,
-            )
-        if self._resources is not None:
-            # One model up per edge, one installed back down per edge —
-            # cloud hop or peer exchange depending on the topology, which
-            # the metric labels record.
-            self._resources.record_sync(
-                len(uploads), len(self.edges), self._model_payload_bytes
-            )
+        # One model up per edge, one installed back down per edge — cloud
+        # hop or peer exchange depending on the topology.
+        self.obs.sync(len(uploads), len(self.edges))
         self.sampler.on_global_sync(t)
 
     def _virtual_global(self, t: int) -> np.ndarray:
@@ -1135,42 +976,13 @@ class HFLTrainer:
         self._steps_run = checkpoint.step
         return checkpoint.step
 
-    def _observe_step(self, t: int, steps_run: int, seconds: float) -> None:
-        """Per-step observation hooks, all pure observers: profiler step
-        record, step-latency gauge, memory sample and health evaluation
-        (with a ``health`` event on every overall-verdict transition)."""
-        if self._profiler is not None:
-            self._profiler.end_step(t, seconds)
-        if self._metrics is not None:
-            self._step_latency_gauge.set(seconds)
-        if self._resources is not None:
-            self._resources.sample_memory()
-        if self._health is not None:
-            report = self._health.observe(steps_run)
-            if report is not None and report.verdict != self._last_health_verdict:
-                self._last_health_verdict = report.verdict
-                if self._events is not None:
-                    self._events.emit("health", **report.to_dict())
-
     def _maybe_write_checkpoint(self, steps_completed: int) -> None:
         every = self.config.checkpoint_every
         if every is None or steps_completed % every != 0:
             return
-        ckpt_t0 = time.perf_counter()
-        with self._tracer.span("checkpoint", step=steps_completed):
+        with self.obs.phase("checkpoint", step=steps_completed):
             self.make_checkpoint(steps_completed).save(self.config.checkpoint_path)
-        if self._profiler is not None:
-            self._profiler.record_phase(
-                "checkpoint", time.perf_counter() - ckpt_t0
-            )
-        if self._events is not None:
-            self._events.emit(
-                "checkpoint",
-                step=steps_completed,
-                path=str(self.config.checkpoint_path),
-            )
-        if self._metrics is not None:
-            self._checkpoint_counter.inc()
+        self.obs.checkpoint(steps_completed, self.config.checkpoint_path)
 
     # ------------------------------------------------------------------
 
@@ -1282,113 +1094,90 @@ class HFLTrainer:
         eval_max_interval = self.config.effective_eval_max_interval
         eval_delta = self.config.eval_accuracy_delta
 
-        if self._events is not None:
-            self._events.emit(
-                "run_start",
-                seed=self.config.seed,
-                sampler=self.sampler.name,
-                executor=self.executor.name,
-                topology=self.topology.name,
-                aggregation=self.aggregation_strategy.name,
-                num_steps=num_steps,
-                start_step=start_step,
-                sync_interval=self.config.sync_interval,
-                eval_interval=eval_interval,
-                resumed=resume_from is not None,
-                churn=self.churn.describe() if self.churn is not None else None,
-                max_staleness=self._max_staleness,
-            )
+        obs = self.obs
+        obs.run_start(
+            seed=self.config.seed,
+            sampler=self.sampler.name,
+            executor=self.executor.name,
+            topology=self.topology.name,
+            aggregation=self.aggregation_strategy.name,
+            num_steps=num_steps,
+            start_step=start_step,
+            sync_interval=self.config.sync_interval,
+            eval_interval=eval_interval,
+            resumed=resume_from is not None,
+            churn=self.churn.describe() if self.churn is not None else None,
+            max_staleness=self._max_staleness,
+        )
 
         clock = time.perf_counter
-        tracer = self._tracer
         steps_run = start_step
         self._steps_run = steps_run
         for t in range(start_step, num_steps):
-            if self._profiler is not None:
-                self._profiler.begin_step(t)
             step_t0 = clock()
+            obs.begin_step(t, step_t0)
             stop_early = False
             synced = False
             step_accuracy: Optional[float] = None
             step_loss: Optional[float] = None
             participants_before = self._total_participants
-            with tracer.span("cloud_step", t=t):
-                self._total_participants += self._train_step(t)
+            self._total_participants += self._train_step(t)
 
-                if t % self.config.sync_interval == 0:
-                    synced = True
-                    t0 = clock()
-                    with tracer.span(
-                        "sync",
-                        topology=self.topology.name,
-                        aggregation=self.aggregation_strategy.name,
-                    ), self._profile_phase("sync"):
-                        self._sync_to_cloud(t)
-                    sync_seconds = clock() - t0
-                    if self.telemetry is not None:
-                        self.telemetry.record_phase("sync", sync_seconds)
-                    if self._profiler is not None:
-                        self._profiler.record_phase("sync", sync_seconds)
+            if t % self.config.sync_interval == 0:
+                synced = True
+                with obs.phase(
+                    "sync",
+                    topology=self.topology.name,
+                    aggregation=self.aggregation_strategy.name,
+                ):
+                    self._sync_to_cloud(t)
 
-                steps_run = t + 1
-                self._steps_run = steps_run
-                if self._metrics is not None:
-                    self._steps_counter.inc()
-                eval_due = (
-                    steps_run >= self._next_eval
-                    if adaptive_eval
-                    else steps_run % eval_interval == 0
-                )
-                if eval_due or steps_run == num_steps:
-                    t0 = clock()
-                    with tracer.span("eval"), self._profile_phase("eval"):
-                        self.model.load_flat(self._virtual_global(t))
-                        # One fused pass over the test set yields both
-                        # metrics (bit-identical to the separate
-                        # accuracy/loss passes).
-                        accuracy, loss = evaluate(self.model, self.test_dataset)
-                    eval_seconds = clock() - t0
-                    if self.telemetry is not None:
-                        self.telemetry.record_phase("eval", eval_seconds)
-                    if self._profiler is not None:
-                        self._profiler.record_phase("eval", eval_seconds)
-                    history.record(steps_run, accuracy, loss)
-                    step_accuracy, step_loss = accuracy, loss
-                    if adaptive_eval:
-                        # Plateau (|Δacc| < δ since the last eval)
-                        # doubles the gap up to the ceiling; movement
-                        # snaps back to the base interval.  Evaluation
-                        # is a pure observer, so this only changes
-                        # which steps the history samples.
-                        if (
-                            self._last_eval_accuracy is not None
-                            and abs(accuracy - self._last_eval_accuracy)
-                            < eval_delta
-                        ):
-                            self._eval_interval_now = min(
-                                2 * self._eval_interval_now, eval_max_interval
-                            )
-                        else:
-                            self._eval_interval_now = eval_interval
-                        self._last_eval_accuracy = accuracy
-                        self._next_eval = steps_run + self._eval_interval_now
-                    if self._events is not None:
-                        self._events.emit(
-                            "eval", step=steps_run, accuracy=accuracy, loss=loss
-                        )
-                    if self._metrics is not None:
-                        self._accuracy_gauge.set(accuracy)
-                        self._loss_gauge.set(loss)
+            steps_run = t + 1
+            self._steps_run = steps_run
+            eval_due = (
+                steps_run >= self._next_eval
+                if adaptive_eval
+                else steps_run % eval_interval == 0
+            )
+            if eval_due or steps_run == num_steps:
+                with obs.phase("eval"):
+                    self.model.load_flat(self._virtual_global(t))
+                    # One fused pass over the test set yields both
+                    # metrics (bit-identical to the separate
+                    # accuracy/loss passes).
+                    accuracy, loss = evaluate(self.model, self.test_dataset)
+                history.record(steps_run, accuracy, loss)
+                step_accuracy, step_loss = accuracy, loss
+                if adaptive_eval:
+                    # Plateau (|Δacc| < δ since the last eval) doubles
+                    # the gap up to the ceiling; movement snaps back to
+                    # the base interval.  Evaluation is a pure observer,
+                    # so this only changes which steps the history
+                    # samples.
                     if (
-                        target_accuracy is not None
-                        and self._reached_at is None
-                        and accuracy >= target_accuracy
+                        self._last_eval_accuracy is not None
+                        and abs(accuracy - self._last_eval_accuracy)
+                        < eval_delta
                     ):
-                        self._reached_at = steps_run
-                        if stop_at_target:
-                            stop_early = True
-                self._maybe_write_checkpoint(steps_run)
-            self._observe_step(t, steps_run, clock() - step_t0)
+                        self._eval_interval_now = min(
+                            2 * self._eval_interval_now, eval_max_interval
+                        )
+                    else:
+                        self._eval_interval_now = eval_interval
+                    self._last_eval_accuracy = accuracy
+                    self._next_eval = steps_run + self._eval_interval_now
+                obs.evaluated(steps_run, accuracy, loss)
+                if (
+                    target_accuracy is not None
+                    and self._reached_at is None
+                    and accuracy >= target_accuracy
+                ):
+                    self._reached_at = steps_run
+                    if stop_at_target:
+                        stop_early = True
+            self._maybe_write_checkpoint(steps_run)
+            step_end = clock()
+            obs.end_step(t, step_t0, step_end)
             yield StepOutcome(
                 step=t,
                 steps_run=steps_run,
@@ -1399,20 +1188,17 @@ class HFLTrainer:
                 loss=step_loss,
                 reached_target=self._reached_at is not None,
                 stop=stop_early,
-                seconds=clock() - step_t0,
+                seconds=step_end - step_t0,
             )
             if stop_early:
                 break
 
-        if self._events is not None:
-            self._events.emit(
-                "run_end",
-                steps_run=steps_run,
-                final_accuracy=history.final_accuracy(),
-                best_accuracy=history.best_accuracy(),
-                reached_target_at=self._reached_at,
-                mean_participants_per_step=(
-                    self._total_participants / steps_run if steps_run else 0.0
-                ),
-            )
-            self._events.flush()
+        obs.run_end(
+            steps_run=steps_run,
+            final_accuracy=history.final_accuracy(),
+            best_accuracy=history.best_accuracy(),
+            reached_target_at=self._reached_at,
+            mean_participants_per_step=(
+                self._total_participants / steps_run if steps_run else 0.0
+            ),
+        )

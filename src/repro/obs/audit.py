@@ -146,7 +146,7 @@ class MACHAuditTrail:
         self.decisions: List[SamplingDecision] = []
         self._event_log = event_log
 
-    def record_round(
+    def record_sampling(
         self,
         t: int,
         edge: int,
@@ -156,7 +156,8 @@ class MACHAuditTrail:
         components: Optional[Dict[str, Sequence[float]]] = None,
     ) -> None:
         """Record one planned round (``components`` from the sampler's
-        :meth:`~repro.sampling.base.Sampler.audit_components`)."""
+        :meth:`~repro.sampling.base.Sampler.audit_components`; the
+        observability handle computes them only when a trail listens)."""
         components = components or {}
 
         def term(name: str) -> Optional[Tuple[float, ...]]:

@@ -6,7 +6,7 @@ typed engine event:
 
 ==================  =====================================================
 ``manifest``        run configuration header (always the first line)
-``run_start``       the trainer entered :meth:`HFLTrainer.run`
+``run_start``       the trainer entered :meth:`HFLTrainer.steps`
 ``round``           one (step, edge) training round finished aggregating
 ``fault``           a round lost ≥ 1 sampled upload (device → fault kind)
 ``sync_attempt``    an edge→cloud attempt sequence hit ≥ 1 failure
@@ -18,13 +18,17 @@ typed engine event:
 ``late_drop``       a parked upload was discarded (device de-enrolled)
 ``checkpoint``      a resumable checkpoint was written
 ``eval``            the global model was evaluated
+``health``          the overall health verdict changed (see
+                    :mod:`repro.obs.health`)
 ``run_end``         the run finished (steps run, final metrics)
 ==================  =====================================================
 
-``round`` events carry enough detail (including the participant ids) to
-reconstruct the :class:`~repro.hfl.telemetry.TelemetryRecorder` view of
-the run offline — :func:`replay_telemetry` does exactly that, and the
-test suite asserts the reconstruction equals the in-memory recorder.
+:class:`EngineEventWriter` turns the trainer's records into these
+lines.  ``round`` events carry enough detail (including the participant
+ids) to reconstruct the :class:`~repro.hfl.telemetry.TelemetryRecorder`
+view of the run offline — :func:`replay_telemetry` does exactly that,
+and the test suite asserts the reconstruction equals the in-memory
+recorder.
 
 The sink is write-only with respect to the engine: emitting an event
 never touches an RNG, model state or anything captured by a
@@ -38,9 +42,12 @@ import json
 import platform
 import subprocess
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+
+from repro.hfl.telemetry import EdgeRoundRecord
 
 __all__ = [
+    "EngineEventWriter",
     "EventLog",
     "build_manifest",
     "read_events",
@@ -176,6 +183,98 @@ class EventLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class EngineEventWriter:
+    """Subscriber that writes the trainer's records as typed events.
+
+    Field names and event types are the log's replay contract with
+    :func:`replay_telemetry`; ``health`` (the ``health`` monitor's
+    overall verdict) is logged whenever it changes.
+    """
+
+    def __init__(self, log: EventLog, health=None) -> None:
+        self.log = log
+        self._health = health
+        self._verdict: Optional[str] = None
+
+    def record_round(
+        self, t, edge, members, probabilities, participant_ids,
+        grad_sq_norms, losses,
+    ) -> None:
+        record = EdgeRoundRecord.of_round(
+            t, edge, members, probabilities, participant_ids,
+            grad_sq_norms, losses,
+        )
+        self.log.emit(
+            "round",
+            t=record.t,
+            edge=record.edge,
+            num_members=record.num_members,
+            participants=[int(m) for m in participant_ids],
+            prob_sum=record.prob_sum,
+            prob_max=record.prob_max,
+            prob_min=record.prob_min,
+            mean_grad_sq_norm=record.mean_grad_sq_norm,
+            mean_loss=record.mean_loss,
+        )
+
+    def record_faults(
+        self, t: int, edge: int, failures: Mapping[int, str], num_sampled: int
+    ) -> None:
+        failures = {str(device): kind for device, kind in failures.items()}
+        self.log.emit(
+            "fault", t=t, edge=edge, num_sampled=num_sampled, failures=failures
+        )
+
+    def record_sync_attempt(
+        self, t, edge, failed_attempts, used_stale, backoff_seconds
+    ) -> None:
+        self.log.emit(
+            "sync_attempt", t=t, edge=edge, failed_attempts=failed_attempts,
+            used_stale=used_stale, backoff_seconds=backoff_seconds,
+        )
+
+    def record_churn(self, t, joined, left, num_active) -> None:
+        # One event per device, departures first (the trainer's
+        # transition order); each carries the post-transition active
+        # count so replay rebuilds the ChurnRecord by grouping on t.
+        for kind, devices in (("device_left", left), ("device_joined", joined)):
+            for device in devices:
+                self.log.emit(
+                    kind, t=t, device=int(device), num_active=int(num_active)
+                )
+
+    def record_late_admit(self, t, edge, device, born_step, age, scale) -> None:
+        self.log.emit(
+            "late_admit", t=t, edge=edge, device=device,
+            born_step=born_step, age=age, scale=scale,
+        )
+
+    def record_late_drop(self, t, edge, device, born_step, age) -> None:
+        self.log.emit(
+            "late_drop", t=t, edge=edge, device=device,
+            born_step=born_step, age=age,
+        )
+
+    def record_eval(self, step: int, accuracy: float, loss: float) -> None:
+        self.log.emit("eval", step=step, accuracy=accuracy, loss=loss)
+
+    def record_checkpoint(self, step: int, path) -> None:
+        self.log.emit("checkpoint", step=step, path=str(path))
+
+    def end_step(self, t: int, seconds: float) -> None:
+        report = self._health.last_report if self._health is not None else None
+        if report is not None and report.verdict != self._verdict:
+            self._verdict = report.verdict
+            self.log.emit("health", **report.to_dict())
+
+    def record_run_start(self, **fields: Any) -> None:
+        self.log.emit("run_start", **fields)
+
+    def record_run_end(self, **fields: Any) -> None:
+        self.log.emit("run_end", **fields)
+        self.log.flush()
 
 
 def read_events(

@@ -21,17 +21,19 @@ Rule kinds (all thresholds are "higher is worse", with
 - ``counter_age`` — steps since a counter last increased (e.g.
   checkpoint age).
 
-A rule whose metric family does not exist (or has no samples yet)
-evaluates to *no data*, which is ``ok`` — an unknown signal must not
-fail a liveness probe.  The monitor itself is a pure observer: it reads
+A rule whose metric family does not exist (or is a gauge with no
+samples yet) evaluates to *no data*, which is ``ok`` — an unknown
+signal must not fail a liveness probe.  A registered counter reads 0
+until its first increment, so that increment falls inside the rule's
+window.  The monitor itself is a pure observer: it reads
 the registry, never the run's RNG or model state, so health checks
 cannot perturb determinism.
 
 The overall verdict (worst rule) is exported as the
 ``repro_health_status`` gauge (0 ok / 1 degraded / 2 failing, labeled
 per rule plus ``rule="overall"``), transitions are recorded for the
-runner's ``--health-out`` artifact, and the trainer emits a ``health``
-JSONL event whenever the overall verdict changes.
+runner's ``--health-out`` artifact, and the event log records a
+``health`` event whenever the overall verdict changes.
 """
 
 from __future__ import annotations
@@ -210,12 +212,16 @@ def default_rules(checkpoint_every: Optional[int] = None) -> List[HealthRule]:
 
 
 def _family_total(family: object) -> Optional[float]:
-    """Sum a family's values across label sets (None when unsampled)."""
-    if isinstance(family, (Counter, Gauge)):
-        values = family._values
-        if not values:
-            return None
-        return float(sum(values.values()))
+    """Sum a family's values across label sets.
+
+    A registered counter that was never incremented reads 0.0, so its
+    first increment counts towards the window; an unset gauge (and an
+    unregistered family) reads None — no data.
+    """
+    if isinstance(family, Counter):
+        return float(sum(family._values.values()))
+    if isinstance(family, Gauge) and family._values:
+        return float(sum(family._values.values()))
     return None
 
 
@@ -290,6 +296,10 @@ class HealthMonitor:
         if self._samples_seen % self.check_every != 0:
             return None
         return self._evaluate(step)
+
+    def end_step(self, t: int, seconds: float) -> None:
+        """Engine step-end record: sample after ``t + 1`` steps have run."""
+        self.observe(t + 1)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Counter",
+    "EngineMetrics",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -334,3 +335,133 @@ class MetricsRegistry:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.render_prometheus())
+
+
+class EngineMetrics:
+    """Subscriber that keeps the engine's metric families on a registry.
+
+    Registers every family in :attr:`FAMILIES` up front, so a scrape or
+    a health rule sees a zero-valued counter, not a missing one, before
+    the first fault, stale sync or late admit.  ``topology`` /
+    ``aggregation`` label the sync counter (set when the handle binds
+    to a run).
+    """
+
+    #: attribute → (kind, family name, help); histograms take their
+    #: bounds from :attr:`BUCKETS`.
+    FAMILIES = {
+        "steps": ("counter", "repro_steps_total", "Completed HFL time steps"),
+        "step_latency": ("gauge", "repro_step_latency_seconds",
+                         "Wall-clock of the most recent full engine step"),
+        "phase_seconds": ("histogram", "repro_phase_seconds",
+                          "Engine wall-clock per phase call"),
+        "rounds": ("counter", "repro_rounds_total",
+                   "Finished (step, edge) training rounds"),
+        "participants": ("counter", "repro_participants_total",
+                         "Device uploads that reached aggregation"),
+        "round_participants": ("histogram", "repro_round_participants",
+                               "Surviving participants per round"),
+        "faults": ("counter", "repro_faults_total", "Injected faults by kind"),
+        "degraded": ("counter", "repro_degraded_rounds_total",
+                     "Rounds that lost at least one sampled upload"),
+        "lost": ("counter", "repro_lost_rounds_total",
+                 "Rounds that lost every sampled upload"),
+        "stale_syncs": ("counter", "repro_stale_syncs_total",
+                        "Sync steps where an edge fell back to its stale model"),
+        "backoff": ("counter", "repro_backoff_seconds_total",
+                    "Simulated edge-to-cloud retry backoff"),
+        "syncs": ("counter", "repro_syncs_total",
+                  "Sync steps completed, by topology and aggregation strategy"),
+        "joined": ("counter", "repro_devices_joined_total",
+                   "Churn arrivals (enrollments)"),
+        "left": ("counter", "repro_devices_left_total",
+                 "Churn departures (de-enrollments)"),
+        "active": ("gauge", "repro_active_devices",
+                   "Enrolled devices after the latest churn transition"),
+        "late_admits": ("counter", "repro_late_admits_total",
+                        "Parked late uploads admitted into a later aggregate"),
+        "late_drops": ("counter", "repro_late_drops_total",
+                       "Parked late uploads dropped (device de-enrolled)"),
+        "staleness_age": ("histogram", "repro_staleness_age_steps",
+                          "Age in steps of admitted late uploads"),
+        "stale_buffer": ("gauge", "repro_stale_buffer_size",
+                         "Late uploads currently parked in the staleness buffer"),
+        "accuracy": ("gauge", "repro_eval_accuracy",
+                     "Latest global-model test accuracy"),
+        "loss": ("gauge", "repro_eval_loss", "Latest global-model test loss"),
+        "checkpoints": ("counter", "repro_checkpoints_total",
+                        "Resumable checkpoints written"),
+    }
+    BUCKETS = {
+        "phase_seconds": PHASE_SECONDS_BUCKETS,
+        "round_participants": PARTICIPANTS_BUCKETS,
+        "staleness_age": (1.0, 2.0, 3.0, 5.0, 8.0, 13.0),
+    }
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.topology = "hierarchical"
+        self.aggregation = "ipw"
+        for attr, (kind, name, help) in self.FAMILIES.items():
+            if kind == "histogram":
+                family = registry.histogram(name, help, self.BUCKETS[attr])
+            else:
+                family = getattr(registry, kind)(name, help)
+            setattr(self, attr, family)
+
+    def record_phase(self, phase: str, seconds: float) -> None:
+        self.phase_seconds.observe(seconds, phase=phase)
+
+    def record_round(
+        self, t, edge, members, probabilities, participant_ids,
+        grad_sq_norms, losses,
+    ) -> None:
+        self.rounds.inc(edge=str(edge))
+        self.participants.inc(len(participant_ids))
+        self.round_participants.observe(len(participant_ids))
+
+    def record_faults(self, t, edge, failures, num_sampled) -> None:
+        for kind in failures.values():
+            self.faults.inc(kind=kind)
+        self.degraded.inc()
+        if len(failures) == num_sampled:
+            self.lost.inc()
+
+    def record_sync_attempt(
+        self, t, edge, failed_attempts, used_stale, backoff_seconds
+    ) -> None:
+        if failed_attempts > 0:
+            self.faults.inc(failed_attempts, kind="sync_failure")
+        if used_stale:
+            self.stale_syncs.inc()
+        self.backoff.inc(backoff_seconds)
+
+    def record_sync(self, uploads: int, broadcasts: int, model_bytes: int) -> None:
+        self.syncs.inc(topology=self.topology, aggregation=self.aggregation)
+
+    def record_churn(self, t, joined, left, num_active) -> None:
+        if joined:
+            self.joined.inc(len(joined))
+        if left:
+            self.left.inc(len(left))
+        self.active.set(float(num_active))
+
+    def record_late_admit(self, t, edge, device, born_step, age, scale) -> None:
+        self.late_admits.inc()
+        self.staleness_age.observe(float(age))
+
+    def record_late_drop(self, t, edge, device, born_step, age) -> None:
+        self.late_drops.inc()
+
+    def record_stale_buffer(self, size: int) -> None:
+        self.stale_buffer.set(float(size))
+
+    def record_eval(self, step: int, accuracy: float, loss: float) -> None:
+        self.accuracy.set(accuracy)
+        self.loss.set(loss)
+
+    def record_checkpoint(self, step: int, path) -> None:
+        self.checkpoints.inc()
+
+    def end_step(self, t: int, seconds: float) -> None:
+        self.steps.inc()
+        self.step_latency.set(seconds)

@@ -3,7 +3,7 @@
 Mobility-HFL systems are communication-bound: the quantities that decide
 whether a deployment is feasible are the bytes shipped per
 device↔edge round and per sync exchange, the host memory the engine
-holds, and the wall-clock burned waiting on stragglers.  This module
+holds, and the simulated time burned on sync retries.  This module
 turns those one-off benchmark numbers into continuously exported
 metrics.
 
@@ -21,12 +21,13 @@ through the same JSON / Prometheus exporters as everything else:
 - ``repro_rss_current_mb`` / ``repro_rss_peak_mb`` — resident set size
   gauges sampled per step (Linux ``/proc/self/statm`` and
   ``getrusage``; gauges simply stay unset on platforms without them);
-- ``repro_wait_seconds_total{kind}`` — accumulated backoff
-  (``kind="backoff"``) and stale-admission (``kind="stale_admit"``)
-  wall-clock.
+- ``repro_wait_seconds_total{kind}`` — accumulated waits by kind; the
+  engine reports simulated sync-retry backoff (``kind="backoff"``).
 
-The accountant is a pure observer — counters and gauges only, no RNG,
-no model state — so attaching it preserves bit-identity.
+The ``record_*`` / ``end_step`` methods double as subscriber hooks of
+:class:`repro.obs.Observability`.  The accountant is a pure observer —
+counters and gauges only, no RNG, no model state — so attaching it
+preserves bit-identity.
 """
 
 from __future__ import annotations
@@ -150,7 +151,16 @@ class ResourceAccountant:
         self._wait_seconds.inc(float(seconds), kind=kind)
         self._waits[kind] = self._waits.get(kind, 0.0) + float(seconds)
 
+    def record_sync_attempt(self, t: int, edge: int, failed_attempts: int,
+                            used_stale: bool, backoff_seconds: float) -> None:
+        """Engine record: an edge's sync retries waited ``backoff_seconds``."""
+        self.record_wait("backoff", backoff_seconds)
+
     # -- memory sampling -----------------------------------------------------
+
+    def end_step(self, t: int, seconds: float) -> None:
+        """Engine step-end record: sample the RSS gauges."""
+        self.sample_memory()
 
     def sample_memory(self) -> Dict[str, Optional[float]]:
         """Sample current/peak RSS into the gauges; returns the values."""

@@ -19,7 +19,9 @@ Two kinds of spans exist:
 
 - **live spans** opened with :meth:`SpanTracer.span` (a context manager)
   or the :meth:`SpanTracer.traced` decorator — start/end read the
-  monotonic clock in the tracing thread;
+  monotonic clock in the tracing thread — or with
+  :meth:`SpanTracer.begin` / :meth:`SpanTracer.end` from clock readings
+  the caller already took (the engine's phase scopes);
 - **synthesized spans** added with :meth:`SpanTracer.add_span` from a
   duration measured elsewhere (a pool worker's own clock).  Their
   ``start`` is the duration-stacked offset within the parent, which
@@ -41,8 +43,10 @@ from __future__ import annotations
 import functools
 import json
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 __all__ = ["Span", "SpanTracer", "NullTracer", "NULL_TRACER"]
 
@@ -100,44 +104,6 @@ class Span:
         )
 
 
-class _LiveSpan:
-    """Context manager for one open span of a :class:`SpanTracer`."""
-
-    __slots__ = ("_tracer", "_name", "_attrs", "_start", "_span_id", "_parent_id")
-
-    def __init__(self, tracer: "SpanTracer", name: str, attrs: Dict[str, Any]):
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-
-    def __enter__(self) -> "_LiveSpan":
-        tracer = self._tracer
-        self._parent_id = tracer._stack[-1] if tracer._stack else None
-        self._span_id = tracer._next_id()
-        tracer._stack.append(self._span_id)
-        self._start = tracer._clock()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        tracer = self._tracer
-        end = tracer._clock()
-        tracer._stack.pop()
-        tracer.spans.append(
-            Span(
-                self._span_id,
-                self._parent_id,
-                self._name,
-                self._start - tracer._epoch,
-                end - self._start,
-                self._attrs,
-            )
-        )
-
-    @property
-    def span_id(self) -> int:
-        return self._span_id
-
-
 class SpanTracer:
     """Collects a hierarchy of wall-clock spans on a monotonic clock."""
 
@@ -145,7 +111,8 @@ class SpanTracer:
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
-        self._stack: List[int] = []
+        #: Open spans, innermost last: (span_id, name, start, attrs).
+        self._open: List[tuple] = []
         self._counter = 0
         self._clock = time.perf_counter
         #: All span starts are reported relative to tracer creation, so
@@ -161,11 +128,38 @@ class SpanTracer:
     @property
     def current_id(self) -> Optional[int]:
         """Span id of the innermost open span (None at top level)."""
-        return self._stack[-1] if self._stack else None
+        return self._open[-1][0] if self._open else None
 
-    def span(self, name: str, **attrs: Any) -> _LiveSpan:
-        """Open a live child span of the current span (context manager)."""
-        return _LiveSpan(self, name, attrs)
+    @contextmanager
+    def span(self, name: str, **attrs: Any) -> Iterator[SimpleNamespace]:
+        """Open a live child span of the current span (context manager
+        yielding an object whose ``span_id`` names the span)."""
+        opened = SimpleNamespace(span_id=self.begin(name, self._clock(), **attrs))
+        try:
+            yield opened
+        finally:
+            self.end(self._clock())
+
+    def begin(self, name: str, start: float, **attrs: Any) -> int:
+        """Open a child span of the current span at clock reading ``start``
+        (a :func:`time.perf_counter` value taken by the caller)."""
+        span_id = self._next_id()
+        self._open.append((span_id, name, start, attrs))
+        return span_id
+
+    def end(self, end: float) -> None:
+        """Close the innermost open span at clock reading ``end``."""
+        span_id, name, start, attrs = self._open.pop()
+        self.spans.append(
+            Span(
+                span_id,
+                self.current_id,
+                name,
+                start - self._epoch,
+                end - start,
+                attrs,
+            )
+        )
 
     def add_span(
         self,
@@ -203,6 +197,30 @@ class SpanTracer:
             self._synth_cursor[parent_id] = offset + duration
         return span_id
 
+    def observe_worker_timings(self, timings: Iterable[Any]) -> None:
+        """Synthesize ``edge_round`` → ``device_update`` spans under the
+        current span from drained :class:`~repro.runtime.base.WorkerTiming`
+        rows (durations from each worker's own clock)."""
+        by_edge: Dict[int, list] = {}
+        for wt in timings:
+            by_edge.setdefault(wt.edge, []).append(wt)
+        for edge_id in sorted(by_edge):
+            edge_timings = by_edge[edge_id]
+            edge_span = self.add_span(
+                "edge_round",
+                sum(wt.seconds for wt in edge_timings),
+                edge=edge_id,
+                devices=len(edge_timings),
+            )
+            for wt in edge_timings:
+                self.add_span(
+                    "device_update",
+                    wt.seconds,
+                    parent_id=edge_span,
+                    device=wt.device,
+                    worker=wt.worker,
+                )
+
     def traced(self, name: str, **attrs: Any) -> Callable:
         """Decorator form of :meth:`span` for whole-function spans."""
 
@@ -239,20 +257,8 @@ class SpanTracer:
         return sum(s.duration for s in self.spans if s.name == name)
 
 
-class _NullSpan:
-    """Shared no-op context manager returned by :class:`NullTracer`."""
-
-    __slots__ = ()
-    span_id = None
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
+#: The shared no-op span of :class:`NullTracer`.
+_NULL_SPAN = nullcontext(SimpleNamespace(span_id=None))
 
 
 class NullTracer(SpanTracer):
@@ -264,8 +270,14 @@ class NullTracer(SpanTracer):
 
     enabled = False
 
-    def span(self, name: str, **attrs: Any) -> _NullSpan:  # type: ignore[override]
+    def span(self, name: str, **attrs: Any):  # type: ignore[override]
         return _NULL_SPAN
+
+    def begin(self, name, start, **attrs):
+        return None
+
+    def end(self, end):
+        return None
 
     def add_span(self, name, duration, parent_id=None, **attrs):
         return None

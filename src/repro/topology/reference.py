@@ -56,10 +56,8 @@ class ReferenceTwinTrainer(HFLTrainer):
                     uploads.append(edge.model)
                 else:
                     uploads.append(self._last_synced[n])
-                if self.telemetry is not None and (
-                    outcome.failed_attempts > 0 or not outcome.success
-                ):
-                    self.telemetry.record_sync_attempt(
+                if outcome.failed_attempts > 0 or not outcome.success:
+                    self.obs.sync_attempt(
                         t,
                         n,
                         outcome.failed_attempts,

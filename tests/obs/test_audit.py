@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.mach import MACHSampler
+from repro.hfl.telemetry import TelemetryRecorder
 from repro.obs import EventLog, MACHAuditTrail, Observability, read_events
 from repro.obs.audit import SamplingDecision
 from repro.sampling import UniformSampler
@@ -20,7 +21,7 @@ def run_audited(sampler, seed=SEED, steps=10, **overrides):
     stream = io.StringIO()
     obs = Observability.enabled(events=EventLog(stream))
     trainer = build_obs_trainer(
-        sampler, seed=seed, obs=obs, telemetry=obs.telemetry_recorder(),
+        sampler, seed=seed, obs=obs, telemetry=TelemetryRecorder(),
         **overrides,
     )
     with trainer:

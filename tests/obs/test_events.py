@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.core.mach import MACHSampler
+from repro.hfl.telemetry import TelemetryRecorder
 from repro.obs import (
     EventLog,
     Observability,
@@ -107,7 +108,7 @@ class TestReplayTelemetry:
     def run_logged(self, fault_profile=None, steps=10):
         stream = io.StringIO()
         obs = Observability.enabled(events=EventLog(stream))
-        telemetry = obs.telemetry_recorder()
+        telemetry = TelemetryRecorder()
         trainer = build_obs_trainer(
             MACHSampler(),
             telemetry=telemetry,

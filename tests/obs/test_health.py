@@ -69,6 +69,30 @@ class TestReducers:
         assert row["value"] == pytest.approx(1.0)
         assert report.verdict == VERDICT_DEGRADED
 
+    def test_first_counter_increment_counts(self):
+        """A registered counter reads 0 before its first increment, so
+        that increment lands inside the rate window."""
+        rule = HealthRule("faults", "counter_rate", "c_total",
+                          degraded=0.5, failing=2.0, window=4)
+        metrics, monitor = self._monitor(rule)
+        counter = metrics.counter("c_total")
+        values = []
+        for step in range(8):
+            if step == 3:
+                counter.inc()
+            (row,) = monitor.observe(step).rules
+            values.append(row["value"])
+        assert values[0] is None  # one sample: no rate yet
+        assert values[5] == pytest.approx(0.25)
+        assert values[7] == 0.0  # the increment has left the window
+
+    def test_unset_gauge_is_still_no_data(self):
+        rule = HealthRule("g", "gauge_value", "g", degraded=1.0, failing=2.0)
+        metrics, monitor = self._monitor(rule)
+        metrics.gauge("g")  # registered, never set
+        (row,) = monitor.observe(0).rules
+        assert row["value"] is None
+
     def test_counter_ratio_of_deltas(self):
         rule = HealthRule("late", "counter_ratio", "late_total",
                           degraded=0.4, failing=0.9, window=10,

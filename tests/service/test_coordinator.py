@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.runner import run_single
+from repro.faults import TrainerCheckpoint
 from repro.service import (
     Coordinator,
     RoundStatus,
@@ -241,6 +242,28 @@ class TestObservabilitySurface:
             text = coordinator.prometheus()
         assert "# TYPE repro_steps_total counter" in text
         assert f"repro_steps_total {scenario.num_steps}" in text
+
+    def test_faulty_run_feeds_metrics_and_health_not_checkpoints(self, tmp_path):
+        """Fault, round and phase metrics reach the scrape and the health
+        rules with no telemetry recorder attached, and the service's
+        checkpoints carry no telemetry stream."""
+        scenario = tiny_scenario(fault_profile="severe")
+        with Coordinator(state_dir=tmp_path, checkpoint_every=2) as coordinator:
+            run_id = coordinator.submit(scenario, sampler="mach")
+            coordinator.result(run_id, timeout=120.0)
+            text = coordinator.prometheus()
+            report = coordinator.health()
+        assert "repro_rounds_total{edge=" in text
+        assert "repro_faults_total{kind=" in text
+        assert 'repro_phase_seconds_count{phase="execute"}' in text
+        values = {row["name"]: row["value"] for row in report.rules}
+        assert values["sync_failure_rate"] is not None
+        assert values["lost_round_rate"] is not None
+        checkpoint = TrainerCheckpoint.load(
+            tmp_path / "runs" / run_id / "checkpoint.json"
+        )
+        assert checkpoint.step == scenario.num_steps
+        assert checkpoint.telemetry_state is None
 
     def test_round_statuses_survive_json_round_trip(self, scenario):
         with Coordinator() as coordinator:
