@@ -38,6 +38,7 @@ from repro.experiments.config import (
     SAMPLER_NAMES,
     ScenarioConfig,
     make_sampler,
+    resolve_scenario,
 )
 from repro.hfl.trainer import StepOutcome, TrainingResult
 from repro.service.client import ServiceClient, ServiceError
@@ -85,7 +86,7 @@ def run_scenario(
     ``fault_profile="moderate"``, ...).  ``resume_from`` continues a
     checkpointed run; ``telemetry``/``obs`` attach the usual recorders.
     """
-    config = _resolve_scenario(scenario, preset, overrides)
+    config = resolve_scenario(scenario, preset, overrides)
     from repro.experiments.runner import run_single
 
     return run_single(
@@ -116,7 +117,7 @@ def submit(
     the zero-setup path for notebooks and tests.  Pass your own
     coordinator for durable state dirs, checkpoints and recovery.
     """
-    config = _resolve_scenario(scenario, preset, overrides)
+    config = resolve_scenario(scenario, preset, overrides)
     backend = coordinator if coordinator is not None else _default_coordinator()
     run_id = backend.submit(
         config,
@@ -206,23 +207,3 @@ def _default_coordinator() -> Coordinator:
     if _DEFAULT_COORDINATOR is None:
         _DEFAULT_COORDINATOR = Coordinator()
     return _DEFAULT_COORDINATOR
-
-
-def _resolve_scenario(
-    scenario: Optional[ScenarioConfig],
-    preset: Optional[str],
-    overrides: dict,
-) -> ScenarioConfig:
-    if (scenario is None) == (preset is None):
-        raise ValueError("provide exactly one of 'scenario' or 'preset'")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ValueError(
-                f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
-            )
-        config = PRESETS[preset]
-    else:
-        config = scenario
-    if overrides:
-        config = config.with_overrides(**overrides)
-    return config

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Tuple
+import numbers
+from dataclasses import Field, dataclass, field, fields, replace
+from typing import Any, Dict, Optional, Tuple, get_args, get_type_hints
 
 from repro.core.edge_sampling import EdgeSamplingConfig
 from repro.core.mach import MACHConfig, MACHSampler
+from repro.hfl.config import EVAL_CADENCES, HFLConfig
+from repro.runtime.base import EXECUTOR_KINDS
 from repro.sampling import (
     ClassBalanceSampler,
     MACHOracleSampler,
@@ -14,6 +17,7 @@ from repro.sampling import (
     StatisticalSampler,
     UniformSampler,
 )
+from repro.topology import AGGREGATION_STRATEGIES, TOPOLOGY_KINDS
 from repro.utils.validation import check_fraction, check_membership, check_positive
 
 #: The five strategies compared throughout §IV.
@@ -35,18 +39,54 @@ SAMPLER_ABBREVIATIONS: Dict[str, str] = {
 }
 
 
+#: Mobility models a scenario can generate its trace from.
+TRACE_KINDS: Tuple[str, ...] = ("telecom", "markov", "static")
+
+#: Trace storage backends (see :mod:`repro.mobility.streaming`).
+TRACE_BACKENDS: Tuple[str, ...] = ("dense", "streaming")
+
+#: MACH candidate selection modes (see :class:`repro.core.mach.MACHConfig`).
+MACH_SELECTIONS: Tuple[str, ...] = ("full", "topk")
+
+
+def _flag(default: Any, flag: str, help: str, **argparse_kwargs: Any) -> Any:
+    """A scenario field the ``run``/``resume`` CLI exposes as ``flag``.
+
+    ``argparse_kwargs`` may carry ``metavar``, ``choices``, a
+    ``cli_default`` (otherwise ``None``: keep the preset's value) and
+    the help-output ``group``.  The argparse ``type`` is the field's type.
+    """
+    return field(
+        default=default, metadata={"flag": flag, "help": help, **argparse_kwargs}
+    )
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One fully specified HFL scenario (workload + system + training).
 
     The defaults mirror the paper's §IV-A.2 base configuration; presets
-    below derive the per-task / per-scale variants.
+    below derive the per-task / per-scale variants.  This class is the
+    single scenario schema: the ``run`` CLI flags come from the
+    :func:`_flag` metadata, and every field shared by name with
+    :class:`HFLConfig` is handed over (and validated) by
+    :func:`hfl_config_for`.
     """
 
     task: str = "mnist"
-    num_devices: int = 100
-    num_edges: int = 10
-    samples_per_device: int = 100
+    num_devices: int = _flag(
+        100, "--devices", "override the preset's device population size",
+        metavar="M", group="scale",
+    )
+    num_edges: int = _flag(
+        10, "--edges", "override the preset's edge count", metavar="N",
+        group="scale",
+    )
+    samples_per_device: int = _flag(
+        100, "--samples-per-device",
+        "override the preset's per-device dataset size", metavar="S",
+        group="scale",
+    )
     test_samples: int = 1000
     image_size: Optional[int] = None  # None = paper shape
     model_scale: str = "small"
@@ -55,116 +95,153 @@ class ScenarioConfig:
     separation: Optional[float] = None  # None = task-spec default
     noise: Optional[float] = None
 
-    participation_fraction: float = 0.5
+    participation_fraction: float = _flag(
+        0.5, "--participation", "override the preset's participation "
+        "fraction (per-edge capacity is F * devices / edges)",
+        metavar="F", group="scale",
+    )
     local_epochs: int = 10
     batch_size: int = 16
     learning_rate: float = 0.002
     sync_interval: int = 5
-    num_steps: int = 400
+    num_steps: int = _flag(400, "--steps", "override the preset's training horizon")
     target_accuracy: float = 0.75
-    trace_kind: str = "telecom"  # telecom | markov | static
-    # Trace storage backend: "dense" materializes the (steps, devices)
-    # assignment grid; "streaming" serves the same query surface from
-    # bounded-size chunks (see repro.mobility.streaming) so city-scale
-    # populations never hold the full grid.
-    trace_backend: str = "dense"  # dense | streaming
-    trace_chunk_steps: int = 64  # streaming backend chunk length
+    trace_kind: str = _flag(
+        "telecom", "--trace-kind", "mobility model generating the trace "
+        "(default: the preset's; markov recommended at city scale — the "
+        "telecom generator sizes its station grid with the population)",
+        choices=TRACE_KINDS, group="scale",
+    )
+    trace_backend: str = _flag(
+        "dense", "--trace-backend", "mobility trace storage: materialized "
+        "grid, or chunked streaming membership (bounded memory at any "
+        "population)",
+        choices=TRACE_BACKENDS, group="scale",
+    )
+    trace_chunk_steps: int = _flag(
+        64, "--trace-chunk-steps",
+        "streaming-backend chunk length in steps (default: 64)",
+        metavar="C", group="scale",
+    )
     aggregation: str = "fedavg"  # see repro.hfl.config.AGGREGATION_MODES
-    # Sync-step communication pattern and model-combination strategy
-    # (see repro.topology): hierarchical | clustered | gossip, and
-    # ipw | cluster_mix | gossip_avg (None = topology default).
-    topology: str = "hierarchical"
-    aggregation_strategy: Optional[str] = None
-    num_clusters: Optional[int] = None  # clustered: None = ceil(sqrt(E))
-    cluster_mixing_weight: float = 0.25  # cluster_mix lambda in [0, 1]
-    gossip_degree: int = 2  # gossip peers per edge per sync step
+    topology: str = _flag(
+        "hierarchical", "--topology", "sync-step communication pattern: "
+        "the paper's cloud/edge tree, edge clusters with inter-cluster "
+        "mixing, or cloudless gossip (default: the preset's, normally "
+        "hierarchical)",
+        choices=TOPOLOGY_KINDS, group="topology",
+    )
+    aggregation_strategy: Optional[str] = _flag(
+        None, "--aggregation", "sync-step aggregation strategy (default: "
+        "the topology's canonical one: ipw / cluster_mix / gossip_avg)",
+        choices=AGGREGATION_STRATEGIES, group="topology",
+    )
+    num_clusters: Optional[int] = _flag(
+        None, "--num-clusters", "cluster count for --topology clustered "
+        "(default: ceil(sqrt(num_edges)))",
+        metavar="C", group="topology",
+    )
+    cluster_mixing_weight: float = _flag(
+        0.25, "--mixing-weight", "inter-cluster mixing weight in [0, 1] "
+        "for cluster_mix (default: 0.25)",
+        metavar="LAMBDA", group="topology",
+    )
+    gossip_degree: int = _flag(
+        2, "--gossip-degree",
+        "peers each edge gossips with per sync step (default: 2)",
+        metavar="K", group="topology",
+    )
     stay_probability: float = 0.8  # markov trace parameter
-    executor: str = "serial"  # see repro.runtime.EXECUTOR_KINDS
-    num_workers: Optional[int] = None  # None = CPU count (pooled executors)
-    # Fault-injection spec (preset name and/or key=value pairs) resolved
-    # by repro.faults.resolve_fault_profile; None = perfect world.
-    fault_profile: Optional[str] = None
-    # Open-population spec (preset name and/or key=value pairs) resolved
-    # by repro.churn.resolve_churn_profile; None = closed world.
-    churn_profile: Optional[str] = None
-    # Bounded-staleness window for late uploads (0 = drop stragglers)
-    # and the per-step age discount of an admitted upload's weight.
-    max_staleness: int = 0
-    staleness_discount: float = 0.5
-    checkpoint_every: Optional[int] = None  # steps between checkpoints
-    checkpoint_path: Optional[str] = None  # where the checkpoint lands
-    seed: int = 0
+    executor: str = _flag(
+        "serial", "--executor",
+        "runtime backend for device local updates (default: serial)",
+        choices=EXECUTOR_KINDS, cli_default="serial",
+    )
+    num_workers: Optional[int] = _flag(
+        None, "--num-workers",
+        "worker count for pooled executors (default: CPU count)",
+    )
+    fault_profile: Optional[str] = _flag(
+        None, "--fault-profile", "fault injection: a preset "
+        "(none/mild/moderate/severe) and/or key=value pairs, e.g. "
+        "'severe' or 'dropout=0.2,corruption=0.05'",
+        metavar="SPEC",
+    )
+    churn_profile: Optional[str] = _flag(
+        None, "--churn", "open-population churn: a preset "
+        "(none/light/moderate/heavy) and/or key=value pairs, e.g. "
+        "'moderate' or 'arrival=0.1,departure=0.05,initial_active=0.9'",
+        metavar="SPEC",
+    )
+    max_staleness: int = _flag(
+        0, "--max-staleness", "bounded-staleness window: park straggler "
+        "uploads and admit them up to S steps late with an age-discounted "
+        "weight (default: 0 = drop stragglers; needs a fault profile with "
+        "a straggler deadline to matter)",
+        metavar="S",
+    )
+    staleness_discount: float = _flag(
+        0.5, "--staleness-discount", "per-step age discount in (0, 1] "
+        "applied to an admitted late upload's weight (default: 0.5)",
+        metavar="D",
+    )
+    checkpoint_every: Optional[int] = _flag(
+        None, "--checkpoint-every",
+        "write a resumable checkpoint every K completed steps", metavar="K",
+    )
+    checkpoint_path: Optional[str] = _flag(
+        None, "--checkpoint-path", "checkpoint file location (default: "
+        "checkpoint.json when --checkpoint-every is set)",
+        metavar="PATH",
+    )
+    seed: int = _flag(0, "--seed", "override the preset's master seed")
     mach_alpha: float = 8.0
     mach_beta: float = 2.0
     mach_warmup: int = 0
     mach_ucb_window: str = "recent"
-    # MACH candidate selection: "full" scores every edge member (exact
-    # paper behavior); "topk" argpartition-prescreens candidates so the
-    # per-edge strategy cost tracks capacity, not population.
-    mach_selection: str = "full"  # full | topk
+    mach_selection: str = _flag(
+        "full", "--mach-selection", "MACH candidate selection: score all "
+        "edge members, or argpartition-prescreen top candidates so "
+        "strategy cost tracks capacity instead of population",
+        choices=MACH_SELECTIONS, group="scale",
+    )
     mach_candidate_factor: float = 4.0  # topk pool = factor * capacity
-    # Evaluation cadence: "fixed" evaluates every eval-interval steps;
-    # "adaptive" doubles the interval while accuracy plateaus (|Δacc| <
-    # eval_accuracy_delta) up to eval_max_interval and resets on
-    # movement — long-horizon runs stop paying O(test set) per sync.
-    eval_cadence: str = "fixed"  # fixed | adaptive
-    eval_max_interval: Optional[int] = None  # None = 8 * base interval
+    # Adaptive cadence doubles the eval interval while |Δacc| <
+    # eval_accuracy_delta, up to eval_max_interval (None = 8 * base).
+    eval_cadence: str = _flag(
+        "fixed", "--eval-cadence", "evaluation schedule: every "
+        "eval-interval steps, or accuracy-delta triggered backoff for "
+        "long horizons",
+        choices=EVAL_CADENCES, group="scale",
+    )
+    eval_max_interval: Optional[int] = None
     eval_accuracy_delta: float = 0.005
 
     def __post_init__(self) -> None:
+        _check_types(self)
         check_positive("num_devices", self.num_devices)
         check_positive("num_edges", self.num_edges)
         check_positive("samples_per_device", self.samples_per_device)
         check_positive("num_steps", self.num_steps)
-        check_fraction("participation_fraction", self.participation_fraction)
         check_fraction("target_accuracy", self.target_accuracy)
-        check_membership("trace_kind", self.trace_kind, ("telecom", "markov", "static"))
-        check_membership("trace_backend", self.trace_backend, ("dense", "streaming"))
+        check_membership("trace_kind", self.trace_kind, TRACE_KINDS)
+        check_membership("trace_backend", self.trace_backend, TRACE_BACKENDS)
         check_positive("trace_chunk_steps", self.trace_chunk_steps)
-        check_membership("mach_selection", self.mach_selection, ("full", "topk"))
+        check_membership("mach_selection", self.mach_selection, MACH_SELECTIONS)
         check_positive("mach_candidate_factor", self.mach_candidate_factor)
-        check_membership("eval_cadence", self.eval_cadence, ("fixed", "adaptive"))
-        if self.eval_max_interval is not None:
-            check_positive("eval_max_interval", self.eval_max_interval)
-        check_positive("eval_accuracy_delta", self.eval_accuracy_delta)
         if self.num_edges > self.num_devices:
             raise ValueError("need at least as many devices as edges")
-        if self.fault_profile is not None:
-            # Fail fast on typos: the spec string must parse.
-            from repro.faults import resolve_fault_profile
-
-            resolve_fault_profile(self.fault_profile)
-        if self.churn_profile is not None:
-            from repro.churn import resolve_churn_profile
-
-            resolve_churn_profile(self.churn_profile)
-        if self.max_staleness < 0:
+        # Every rule on a field shared with HFLConfig lives there only.
+        hfl_config_for(self, self.seed)
+        if self.num_clusters is not None and self.num_clusters > self.num_edges:
             raise ValueError(
-                f"max_staleness must be >= 0, got {self.max_staleness}"
+                f"num_clusters={self.num_clusters} exceeds the "
+                f"{self.num_edges} edges"
             )
-        if not 0.0 < self.staleness_discount <= 1.0:
-            raise ValueError(
-                f"staleness_discount must be in (0, 1], got "
-                f"{self.staleness_discount}"
-            )
-        if self.checkpoint_every is not None:
-            check_positive("checkpoint_every", self.checkpoint_every)
-        # Validate the topology pair exactly like HFLConfig will.
-        from repro.topology import validate_pair
-
-        validate_pair(self.topology, self.aggregation_strategy)
-        if self.num_clusters is not None:
-            check_positive("num_clusters", self.num_clusters)
-            if self.num_clusters > self.num_edges:
-                raise ValueError(
-                    f"num_clusters={self.num_clusters} exceeds the "
-                    f"{self.num_edges} edges"
-                )
-        check_fraction("cluster_mixing_weight", self.cluster_mixing_weight)
-        check_positive("gossip_degree", self.gossip_degree)
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
-        """A copy with the given fields replaced."""
+        """A copy with the given fields replaced (unknown names rejected)."""
+        _reject_unknown(kwargs)
         return replace(self, **kwargs)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -178,16 +255,81 @@ class ScenarioConfig:
         Unknown keys are rejected explicitly — a typoed or stale field
         in a persisted scenario must fail loudly, not be dropped.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown ScenarioConfig fields: {unknown}")
+        if not isinstance(payload, dict):
+            raise ValueError(f"a scenario must be a dict, got {payload!r}")
+        _reject_unknown(payload)
         return cls(**payload)
 
     @property
     def capacity_per_edge(self) -> float:
         """Average channel capacity K_n implied by the participation target."""
         return self.participation_fraction * self.num_devices / self.num_edges
+
+
+def _field_types() -> Dict[str, Tuple[type, bool]]:
+    """Each field's scalar type (int / float / str) and whether it is Optional."""
+    types = {}
+    for name, hint in get_type_hints(ScenarioConfig).items():
+        args = [arg for arg in get_args(hint) if arg is not type(None)]
+        types[name] = (args[0], True) if args else (hint, False)
+    return types
+
+
+#: ``name -> (scalar type, optional)`` for every ScenarioConfig field.
+FIELD_TYPES: Dict[str, Tuple[type, bool]] = _field_types()
+
+#: The ScenarioConfig fields the ``run``/``resume`` CLI exposes as flags.
+CLI_FIELDS: Tuple[Field, ...] = tuple(
+    f for f in fields(ScenarioConfig) if "flag" in f.metadata
+)
+
+#: The fields ScenarioConfig hands to HFLConfig unchanged.
+_SHARED_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in fields(HFLConfig) if f.name in FIELD_TYPES
+)
+
+# An int is a valid float; a bool is neither (it is an int subclass).
+_ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _check_types(config: ScenarioConfig) -> None:
+    for name, (kind, optional) in FIELD_TYPES.items():
+        value = getattr(config, name)
+        if value is None and optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
+            allowed = f"{kind.__name__} or None" if optional else kind.__name__
+            raise ValueError(f"{name} must be {allowed}, got {value!r}")
+
+
+def _reject_unknown(names) -> None:
+    unknown = sorted(set(names) - set(FIELD_TYPES))
+    if unknown:
+        raise ValueError(f"unknown ScenarioConfig fields: {unknown}")
+
+
+def hfl_config_for(config: ScenarioConfig, seed: int) -> HFLConfig:
+    """The :class:`HFLConfig` a scenario implies: the fields the two
+    classes share by name, with ``seed`` as the engine's master seed.
+    """
+    shared = {name: getattr(config, name) for name in _SHARED_FIELDS}
+    shared["seed"] = seed
+    return HFLConfig(**shared)
+
+
+def resolve_scenario(
+    scenario: Optional[ScenarioConfig], preset: Optional[str], overrides: dict
+) -> ScenarioConfig:
+    """Exactly one of ``scenario`` or a ``preset`` name, with ``overrides``."""
+    if (scenario is None) == (preset is None):
+        raise ValueError("provide exactly one of 'scenario' or 'preset'")
+    if preset is not None:
+        if not isinstance(preset, str) or preset not in PRESETS:
+            raise ValueError(
+                f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
+            )
+        scenario = PRESETS[preset]
+    return scenario.with_overrides(**overrides) if overrides else scenario
 
 
 def make_sampler(name: str, config: ScenarioConfig) -> Sampler:

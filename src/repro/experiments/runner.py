@@ -8,8 +8,8 @@ Also usable as a CLI, organized into subcommands::
     PYTHONPATH=src python -m repro.experiments.runner resume checkpoint.json
     PYTHONPATH=src python -m repro.experiments.runner bench-smoke
 
-The pre-subcommand flat invocation (flags with no leading subcommand)
-still works as an alias of ``run`` but is deprecated and warns.
+The ``run``/``resume`` scenario flags are derived from the
+:class:`ScenarioConfig` field metadata.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -26,12 +25,15 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.data.synthetic import make_federated_task
 from repro.experiments.config import (
+    CLI_FIELDS,
+    FIELD_TYPES,
+    PRESETS,
     SAMPLER_ABBREVIATIONS,
     SAMPLER_NAMES,
     ScenarioConfig,
+    hfl_config_for,
     make_sampler,
 )
-from repro.hfl.config import HFLConfig
 from repro.hfl.trainer import HFLTrainer, TrainingResult
 from repro.mobility.markov import MarkovMobilityModel
 from repro.mobility.streaming import (
@@ -140,35 +142,6 @@ def build_scenario(
         return build_model(task, feature_shape, scale=scale, rng=rng)
 
     return devices, test, trace, model_factory
-
-
-def hfl_config_for(config: ScenarioConfig, seed: int) -> HFLConfig:
-    """The :class:`HFLConfig` a scenario implies (shared by benchmarks)."""
-    return HFLConfig(
-        learning_rate=config.learning_rate,
-        local_epochs=config.local_epochs,
-        batch_size=config.batch_size,
-        sync_interval=config.sync_interval,
-        participation_fraction=config.participation_fraction,
-        aggregation=config.aggregation,
-        topology=config.topology,
-        aggregation_strategy=config.aggregation_strategy,
-        num_clusters=config.num_clusters,
-        cluster_mixing_weight=config.cluster_mixing_weight,
-        gossip_degree=config.gossip_degree,
-        executor=config.executor,
-        num_workers=config.num_workers,
-        fault_profile=config.fault_profile,
-        churn_profile=config.churn_profile,
-        max_staleness=config.max_staleness,
-        staleness_discount=config.staleness_discount,
-        checkpoint_every=config.checkpoint_every,
-        checkpoint_path=config.checkpoint_path,
-        eval_cadence=config.eval_cadence,
-        eval_max_interval=config.eval_max_interval,
-        eval_accuracy_delta=config.eval_accuracy_delta,
-        seed=seed,
-    )
 
 
 def run_single(
@@ -309,21 +282,43 @@ def run_comparison(
 # CLI
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The flat single-run parser (the ``run`` subcommand's flag set)."""
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner",
-        description="Run one sampler on one scenario preset.",
-    )
-    _add_run_arguments(parser)
-    return parser
+#: Help-output sections of the scenario flags (their ``group`` metadata).
+_FLAG_GROUPS = {
+    "topology": None,
+    "scale": "city-scale population engine (see DESIGN.md §14)",
+}
+
+
+def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    """One flag per :data:`CLI_FIELDS` entry, stored under the field name."""
+    groups = {None: parser}
+    for title, description in _FLAG_GROUPS.items():
+        groups[title] = parser.add_argument_group(title, description)
+    for f in CLI_FIELDS:
+        spec = dict(f.metadata)
+        kind, _optional = FIELD_TYPES[f.name]
+        groups[spec.pop("group", None)].add_argument(
+            spec.pop("flag"),
+            dest=f.name,
+            type=None if kind is str else kind,
+            default=spec.pop("cli_default", None),
+            **spec,
+        )
+
+
+def _scenario_overrides(args) -> Dict[str, object]:
+    """The scenario flags given on the command line, by field name."""
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in CLI_FIELDS
+        if getattr(args, f.name) is not None
+    }
+    if args.checkpoint_every is not None and args.checkpoint_path is None:
+        overrides["checkpoint_path"] = "checkpoint.json"
+    return overrides
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    from repro.experiments.config import PRESETS
-    from repro.runtime import EXECUTOR_KINDS
-    from repro.topology import AGGREGATION_STRATEGIES, TOPOLOGY_KINDS
-
     parser.add_argument(
         "--preset", default="blobs-bench", choices=sorted(PRESETS),
         help="scenario preset (default: blobs-bench)",
@@ -332,125 +327,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--sampler", default="mach", choices=SAMPLER_NAMES,
         help="device-sampling strategy (default: mach)",
     )
-    parser.add_argument(
-        "--executor", default="serial", choices=EXECUTOR_KINDS,
-        help="runtime backend for device local updates (default: serial)",
-    )
-    parser.add_argument(
-        "--num-workers", type=int, default=None,
-        help="worker count for pooled executors (default: CPU count)",
-    )
-    topo_group = parser.add_argument_group("topology")
-    topo_group.add_argument(
-        "--topology", default=None, choices=TOPOLOGY_KINDS,
-        help="sync-step communication pattern: the paper's cloud/edge "
-             "tree, edge clusters with inter-cluster mixing, or "
-             "cloudless gossip (default: the preset's, normally "
-             "hierarchical)",
-    )
-    topo_group.add_argument(
-        "--aggregation", default=None, choices=AGGREGATION_STRATEGIES,
-        help="sync-step aggregation strategy (default: the topology's "
-             "canonical one: ipw / cluster_mix / gossip_avg)",
-    )
-    topo_group.add_argument(
-        "--num-clusters", type=int, default=None, metavar="C",
-        help="cluster count for --topology clustered "
-             "(default: ceil(sqrt(num_edges)))",
-    )
-    topo_group.add_argument(
-        "--mixing-weight", type=float, default=None, metavar="LAMBDA",
-        help="inter-cluster mixing weight in [0, 1] for cluster_mix "
-             "(default: 0.25)",
-    )
-    topo_group.add_argument(
-        "--gossip-degree", type=int, default=None, metavar="K",
-        help="peers each edge gossips with per sync step (default: 2)",
-    )
-    scale_group = parser.add_argument_group(
-        "scale", "city-scale population engine (see DESIGN.md §14)"
-    )
-    scale_group.add_argument(
-        "--devices", type=int, default=None, metavar="M",
-        help="override the preset's device population size",
-    )
-    scale_group.add_argument(
-        "--edges", type=int, default=None, metavar="N",
-        help="override the preset's edge count",
-    )
-    scale_group.add_argument(
-        "--samples-per-device", type=int, default=None, metavar="S",
-        help="override the preset's per-device dataset size",
-    )
-    scale_group.add_argument(
-        "--participation", type=float, default=None, metavar="F",
-        help="override the preset's participation fraction (per-edge "
-             "capacity is F * devices / edges)",
-    )
-    scale_group.add_argument(
-        "--trace-kind", default=None, choices=("telecom", "markov", "static"),
-        help="mobility model generating the trace (default: the "
-             "preset's; markov recommended at city scale — the telecom "
-             "generator sizes its station grid with the population)",
-    )
-    scale_group.add_argument(
-        "--trace-backend", default=None, choices=("dense", "streaming"),
-        help="mobility trace storage: materialized grid, or chunked "
-             "streaming membership (bounded memory at any population)",
-    )
-    scale_group.add_argument(
-        "--trace-chunk-steps", type=int, default=None, metavar="C",
-        help="streaming-backend chunk length in steps (default: 64)",
-    )
-    scale_group.add_argument(
-        "--mach-selection", default=None, choices=("full", "topk"),
-        help="MACH candidate selection: score all edge members, or "
-             "argpartition-prescreen top candidates so strategy cost "
-             "tracks capacity instead of population",
-    )
-    scale_group.add_argument(
-        "--eval-cadence", default=None, choices=("fixed", "adaptive"),
-        help="evaluation schedule: every eval-interval steps, or "
-             "accuracy-delta triggered backoff for long horizons",
-    )
-    parser.add_argument("--steps", type=int, default=None,
-                        help="override the preset's training horizon")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the preset's master seed")
+    _add_scenario_arguments(parser)
     parser.add_argument("--stop-at-target", action="store_true",
                         help="stop as soon as the target accuracy is reached")
-    parser.add_argument(
-        "--fault-profile", default=None, metavar="SPEC",
-        help="fault injection: a preset (none/mild/moderate/severe) and/or "
-             "key=value pairs, e.g. 'severe' or 'dropout=0.2,corruption=0.05'",
-    )
-    parser.add_argument(
-        "--churn", default=None, metavar="SPEC", dest="churn",
-        help="open-population churn: a preset (none/light/moderate/heavy) "
-             "and/or key=value pairs, e.g. 'moderate' or "
-             "'arrival=0.1,departure=0.05,initial_active=0.9'",
-    )
-    parser.add_argument(
-        "--max-staleness", type=int, default=None, metavar="S",
-        help="bounded-staleness window: park straggler uploads and admit "
-             "them up to S steps late with an age-discounted weight "
-             "(default: 0 = drop stragglers; needs a fault profile with "
-             "a straggler deadline to matter)",
-    )
-    parser.add_argument(
-        "--staleness-discount", type=float, default=None, metavar="D",
-        help="per-step age discount in (0, 1] applied to an admitted "
-             "late upload's weight (default: 0.5)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="K",
-        help="write a resumable checkpoint every K completed steps",
-    )
-    parser.add_argument(
-        "--checkpoint-path", default=None, metavar="PATH",
-        help="checkpoint file location (default: checkpoint.json when "
-             "--checkpoint-every is set)",
-    )
     parser.add_argument(
         "--resume", default=None, metavar="PATH",
         help="resume a killed run from the checkpoint at PATH",
@@ -518,17 +397,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _scenario_manifest(config: ScenarioConfig) -> Dict[str, object]:
-    """A JSON-safe dump of the scenario config for the run manifest."""
-    from dataclasses import asdict
-
-    return {
-        k: v
-        for k, v in asdict(config).items()
-        if isinstance(v, (bool, int, float, str)) or v is None
-    }
-
-
 def _profile_requested(args) -> bool:
     return bool(
         args.profile
@@ -589,7 +457,7 @@ def _build_observability(args, config: ScenarioConfig):
                 seed=config.seed,
                 sampler=args.sampler,
                 num_steps=config.num_steps,
-                config=_scenario_manifest(config),
+                config=config.to_dict(),
                 fault_profile=(
                     fault_model.describe() if fault_model is not None else None
                 ),
@@ -654,8 +522,6 @@ def _write_obs_outputs(args, obs, echo) -> None:
 
 def _run_command(args) -> int:
     """Execute one configured run (the ``run``/``resume`` subcommands)."""
-    from repro.experiments.config import PRESETS
-
     level = "quiet" if args.quiet else args.log_level
     verbosity = {"quiet": 0, "info": 1, "debug": 2}[level]
 
@@ -663,52 +529,7 @@ def _run_command(args) -> int:
         if verbosity >= min_level:
             print(message)
 
-    config = PRESETS[args.preset]
-    overrides = {"executor": args.executor, "num_workers": args.num_workers}
-    if args.topology is not None:
-        overrides["topology"] = args.topology
-    if args.aggregation is not None:
-        overrides["aggregation_strategy"] = args.aggregation
-    if args.num_clusters is not None:
-        overrides["num_clusters"] = args.num_clusters
-    if args.mixing_weight is not None:
-        overrides["cluster_mixing_weight"] = args.mixing_weight
-    if args.gossip_degree is not None:
-        overrides["gossip_degree"] = args.gossip_degree
-    if args.devices is not None:
-        overrides["num_devices"] = args.devices
-    if args.edges is not None:
-        overrides["num_edges"] = args.edges
-    if args.samples_per_device is not None:
-        overrides["samples_per_device"] = args.samples_per_device
-    if args.participation is not None:
-        overrides["participation_fraction"] = args.participation
-    if args.trace_kind is not None:
-        overrides["trace_kind"] = args.trace_kind
-    if args.trace_backend is not None:
-        overrides["trace_backend"] = args.trace_backend
-    if args.trace_chunk_steps is not None:
-        overrides["trace_chunk_steps"] = args.trace_chunk_steps
-    if args.mach_selection is not None:
-        overrides["mach_selection"] = args.mach_selection
-    if args.eval_cadence is not None:
-        overrides["eval_cadence"] = args.eval_cadence
-    if args.steps is not None:
-        overrides["num_steps"] = args.steps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.fault_profile is not None:
-        overrides["fault_profile"] = args.fault_profile
-    if args.churn is not None:
-        overrides["churn_profile"] = args.churn
-    if args.max_staleness is not None:
-        overrides["max_staleness"] = args.max_staleness
-    if args.staleness_discount is not None:
-        overrides["staleness_discount"] = args.staleness_discount
-    if args.checkpoint_every is not None:
-        overrides["checkpoint_every"] = args.checkpoint_every
-        overrides["checkpoint_path"] = args.checkpoint_path or "checkpoint.json"
-    config = config.with_overrides(**overrides)
+    config = PRESETS[args.preset].with_overrides(**_scenario_overrides(args))
 
     if args.obs_off and _obs_requested(args):
         echo(
@@ -719,7 +540,11 @@ def _run_command(args) -> int:
     obs = _build_observability(args, config)
 
     telemetry = None
-    if obs is not None or args.fault_profile is not None or args.churn is not None:
+    if (
+        obs is not None
+        or config.fault_profile is not None
+        or config.churn_profile is not None
+    ):
         from repro.hfl.telemetry import TelemetryRecorder
 
         telemetry = TelemetryRecorder()
@@ -767,7 +592,7 @@ def _run_command(args) -> int:
     echo(
         f"preset={args.preset} sampler={result.sampler_name} "
         f"topology={config.topology} aggregation={effective_aggregation} "
-        f"executor={args.executor} workers={args.num_workers or 'auto'}"
+        f"executor={config.executor} workers={config.num_workers or 'auto'}"
     )
     echo(
         f"steps={result.steps_run} final_acc={result.history.final_accuracy():.3f} "
@@ -775,7 +600,7 @@ def _run_command(args) -> int:
         f"mean_participants={result.mean_participants_per_step:.2f}"
     )
     echo(f"{reached}; wall-clock {elapsed:.2f}s")
-    if telemetry is not None and args.fault_profile is not None:
+    if telemetry is not None and config.fault_profile is not None:
         summary = telemetry.fault_summary()
         faults = (
             " ".join(f"{k}={v}" for k, v in sorted(summary.items()))
@@ -922,8 +747,6 @@ def _bench_smoke_command(args) -> int:
     reference = run_scenario(
         preset=args.preset, sampler=args.sampler, num_steps=args.steps
     )
-    from repro.experiments.config import PRESETS
-
     config = PRESETS[args.preset].with_overrides(num_steps=args.steps)
     with tempfile.TemporaryDirectory(prefix="repro-bench-smoke-") as state:
         with Coordinator(state_dir=state) as coordinator:
@@ -947,41 +770,52 @@ def _bench_smoke_command(args) -> int:
     return 0 if identical else 1
 
 
+def _run_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=f"{_PROG} run",
+        description="Run one sampler on one scenario preset.",
+    )
+    _add_run_arguments(parser)
+    return parser
+
+
+def _resume_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=f"{_PROG} resume",
+        description="Resume a single run from a saved checkpoint.",
+    )
+    parser.add_argument(
+        "checkpoint", help="checkpoint file written by a prior run"
+    )
+    _add_run_arguments(parser)
+    return parser
+
+
+def _resume_command(args) -> int:
+    args.resume = args.checkpoint
+    return _run_command(args)
+
+
+#: ``subcommand -> (parser factory, handler)``.
+_COMMANDS = {
+    "run": (_run_parser, _run_command),
+    "serve": (_serve_parser, _serve_command),
+    "resume": (_resume_parser, _resume_command),
+    "bench-smoke": (_bench_smoke_parser, _bench_smoke_command),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in SUBCOMMANDS:
-        command, rest = argv[0], argv[1:]
-        if command == "serve":
-            return _serve_command(_serve_parser().parse_args(rest))
-        if command == "bench-smoke":
-            return _bench_smoke_command(_bench_smoke_parser().parse_args(rest))
-        if command == "resume":
-            parser = argparse.ArgumentParser(
-                prog=f"{_PROG} resume",
-                description="Resume a single run from a saved checkpoint.",
-            )
-            parser.add_argument(
-                "checkpoint", help="checkpoint file written by a prior run"
-            )
-            _add_run_arguments(parser)
-            args = parser.parse_args(rest)
-            args.resume = args.checkpoint
-            return _run_command(args)
-        parser = argparse.ArgumentParser(
-            prog=f"{_PROG} run",
-            description="Run one sampler on one scenario preset.",
-        )
-        _add_run_arguments(parser)
-        return _run_command(parser.parse_args(rest))
-    # Legacy flat invocation: flags with no leading subcommand.  Kept as
-    # an alias of `run` so existing scripts keep working, but deprecated.
-    warnings.warn(
-        "invoking repro.experiments.runner without a subcommand is "
-        "deprecated; use `python -m repro.experiments.runner run ...`",
-        FutureWarning,
-        stacklevel=2,
+    parser = argparse.ArgumentParser(
+        prog=_PROG,
+        description="Run or resume one scenario, serve the coordinator, "
+                    "or smoke-check it against the synchronous trainer.",
     )
-    return _run_command(build_parser().parse_args(argv))
+    parser.add_argument("command", choices=SUBCOMMANDS)
+    command = parser.parse_args(argv[:1]).command
+    make_parser, handler = _COMMANDS[command]
+    return handler(make_parser().parse_args(argv[1:]))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,6 +12,9 @@ from repro.utils.validation import check_fraction, check_membership, check_posit
 #: Aggregation variants for Eq. (5) — see :mod:`repro.hfl.edge`.
 AGGREGATION_MODES = ("delta", "model", "normalized", "fedavg")
 
+#: Evaluation schedules (see ``HFLConfig.eval_cadence``).
+EVAL_CADENCES = ("fixed", "adaptive")
+
 
 @dataclass
 class HFLConfig:
@@ -215,7 +218,7 @@ class HFLConfig:
                 )
         if self.eval_interval is not None:
             check_positive("eval_interval", self.eval_interval)
-        check_membership("eval_cadence", self.eval_cadence, ("fixed", "adaptive"))
+        check_membership("eval_cadence", self.eval_cadence, EVAL_CADENCES)
         if self.eval_max_interval is not None:
             check_positive("eval_max_interval", self.eval_max_interval)
             if self.eval_max_interval < self.effective_eval_interval:

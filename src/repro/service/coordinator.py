@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import queue
 import threading
@@ -173,6 +174,10 @@ class Coordinator:
             raise ValueError(
                 f"unknown sampler {sampler!r}; choose from {SAMPLER_NAMES}"
             )
+        if seed is not None and (
+            isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+        ):
+            raise ValueError(f"seed must be int, got {seed!r}")
         with self._lock:
             if self._closed:
                 raise RuntimeError("coordinator is shut down")

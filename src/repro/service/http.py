@@ -31,7 +31,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.experiments.config import PRESETS, ScenarioConfig
+from repro.experiments.config import ScenarioConfig, resolve_scenario
 from repro.service.coordinator import Coordinator, UnknownRunError
 
 #: Version tag of the service/facade surface; served from /v1/version
@@ -46,22 +46,15 @@ def scenario_from_request(body: dict) -> Tuple[ScenarioConfig, Optional[str]]:
     the CLI's ``--preset`` + flag overrides.  Returns the config and
     the preset name (``None`` for inline scenarios).
     """
-    preset = body.get("preset")
-    scenario = body.get("scenario")
-    if (preset is None) == (scenario is None):
-        raise ValueError("provide exactly one of 'preset' or 'scenario'")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ValueError(
-                f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
-            )
-        config = PRESETS[preset]
-    else:
-        config = ScenarioConfig.from_dict(scenario)
+    if not isinstance(body, dict):
+        raise ValueError("the request body must be a JSON object")
+    preset, scenario = body.get("preset"), body.get("scenario")
     overrides = body.get("overrides") or {}
-    if overrides:
-        config = config.with_overrides(**overrides)
-    return config, preset
+    if not isinstance(overrides, dict):
+        raise ValueError("'overrides' must be a JSON object")
+    if scenario is not None:
+        scenario = ScenarioConfig.from_dict(scenario)
+    return resolve_scenario(scenario, preset, overrides), preset
 
 
 class _CoordinatorHandler(BaseHTTPRequestHandler):

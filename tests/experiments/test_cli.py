@@ -1,0 +1,145 @@
+"""The ``run``/``resume`` CLI surface derived from ScenarioConfig metadata.
+
+The scenario flags are generated from the ``ScenarioConfig`` field
+metadata, so these tests pin the generated surface to a literal list:
+a metadata edit cannot rename, drop or add a flag, or change a default
+or a choice list, without failing here.
+"""
+
+import argparse
+
+import pytest
+
+import repro.api as api
+from repro.experiments import runner
+from repro.experiments.config import CLI_FIELDS, PRESETS
+
+#: ``option -> (default, choices, type, metavar)`` of every ``run`` flag.
+RUN_SURFACE = {
+    "--preset": ("blobs-bench", ("blobs-bench", "cifar10-bench", "cifar10-paper",
+                                 "fmnist-bench", "fmnist-paper", "mnist-bench",
+                                 "mnist-paper"), None, None),
+    "--sampler": ("mach", ("mach", "mach_p", "uniform", "class_balance",
+                           "statistical"), None, None),
+    "--executor": ("serial", ("serial", "thread", "process"), None, None),
+    "--num-workers": (None, None, int, None),
+    "--topology": (None, ("hierarchical", "clustered", "gossip"), None, None),
+    "--aggregation": (None, ("ipw", "cluster_mix", "gossip_avg"), None, None),
+    "--num-clusters": (None, None, int, "C"),
+    "--mixing-weight": (None, None, float, "LAMBDA"),
+    "--gossip-degree": (None, None, int, "K"),
+    "--devices": (None, None, int, "M"),
+    "--edges": (None, None, int, "N"),
+    "--samples-per-device": (None, None, int, "S"),
+    "--participation": (None, None, float, "F"),
+    "--trace-kind": (None, ("telecom", "markov", "static"), None, None),
+    "--trace-backend": (None, ("dense", "streaming"), None, None),
+    "--trace-chunk-steps": (None, None, int, "C"),
+    "--mach-selection": (None, ("full", "topk"), None, None),
+    "--eval-cadence": (None, ("fixed", "adaptive"), None, None),
+    "--steps": (None, None, int, None),
+    "--seed": (None, None, int, None),
+    "--stop-at-target": (False, None, None, None),
+    "--fault-profile": (None, None, None, "SPEC"),
+    "--churn": (None, None, None, "SPEC"),
+    "--max-staleness": (None, None, int, "S"),
+    "--staleness-discount": (None, None, float, "D"),
+    "--checkpoint-every": (None, None, int, "K"),
+    "--checkpoint-path": (None, None, None, "PATH"),
+    "--resume": (None, None, None, "PATH"),
+    "--log-jsonl": (None, None, None, "PATH"),
+    "--trace-out": (None, None, None, "PATH"),
+    "--metrics-out": (None, None, None, "PATH"),
+    "--profile": (False, None, None, None),
+    "--profile-out": (None, None, None, "PATH"),
+    "--flamegraph-out": (None, None, None, "PATH"),
+    "--profile-alloc-every": (None, None, int, "K"),
+    "--health-out": (None, None, None, "PATH"),
+    "--obs-off": (False, None, None, None),
+    "--log-level": ("info", ("quiet", "info", "debug"), None, None),
+    "--quiet": (False, None, None, None),
+}
+
+#: ``flag -> (ScenarioConfig field, argument, parsed value)``.
+SCENARIO_FLAGS = {
+    "--devices": ("num_devices", "60", 60),
+    "--edges": ("num_edges", "4", 4),
+    "--samples-per-device": ("samples_per_device", "30", 30),
+    "--participation": ("participation_fraction", "0.3", 0.3),
+    "--steps": ("num_steps", "7", 7),
+    "--trace-kind": ("trace_kind", "markov", "markov"),
+    "--trace-backend": ("trace_backend", "streaming", "streaming"),
+    "--trace-chunk-steps": ("trace_chunk_steps", "16", 16),
+    "--topology": ("topology", "clustered", "clustered"),
+    "--aggregation": ("aggregation_strategy", "ipw", "ipw"),
+    "--num-clusters": ("num_clusters", "2", 2),
+    "--mixing-weight": ("cluster_mixing_weight", "0.4", 0.4),
+    "--gossip-degree": ("gossip_degree", "3", 3),
+    "--executor": ("executor", "thread", "thread"),
+    "--num-workers": ("num_workers", "2", 2),
+    "--fault-profile": ("fault_profile", "mild", "mild"),
+    "--churn": ("churn_profile", "light", "light"),
+    "--max-staleness": ("max_staleness", "2", 2),
+    "--staleness-discount": ("staleness_discount", "0.7", 0.7),
+    "--checkpoint-every": ("checkpoint_every", "3", 3),
+    "--checkpoint-path": ("checkpoint_path", "ck.json", "ck.json"),
+    "--seed": ("seed", "11", 11),
+    "--mach-selection": ("mach_selection", "topk", "topk"),
+    "--eval-cadence": ("eval_cadence", "adaptive", "adaptive"),
+}
+
+
+class _Captured(Exception):
+    """Carries the scenario the CLI would have run."""
+
+
+def scenario_for(monkeypatch, *argv):
+    """The ScenarioConfig ``runner run *argv`` hands to ``run_scenario``."""
+
+    def capture(config, **_kwargs):
+        raise _Captured(config)
+
+    monkeypatch.setattr(api, "run_scenario", capture)
+    with pytest.raises(_Captured) as excinfo:
+        runner.main(["run", *argv, "--quiet"])
+    return excinfo.value.args[0]
+
+
+@pytest.mark.parametrize("build", [runner._run_parser, runner._resume_parser])
+def test_run_surface_is_pinned(build):
+    surface = {}
+    for action in build()._actions:
+        if isinstance(action, argparse._HelpAction) or not action.option_strings:
+            continue
+        (option,) = action.option_strings
+        choices = tuple(action.choices) if action.choices else None
+        surface[option] = (action.default, choices, action.type, action.metavar)
+    assert surface == RUN_SURFACE
+
+
+def test_every_scenario_flag_is_mapped():
+    assert {f.metadata["flag"] for f in CLI_FIELDS} == set(SCENARIO_FLAGS)
+
+
+@pytest.mark.parametrize("flag", sorted(SCENARIO_FLAGS))
+def test_flag_sets_its_field(monkeypatch, flag):
+    name, argument, value = SCENARIO_FLAGS[flag]
+    config = scenario_for(monkeypatch, flag, argument)
+    assert getattr(config, name) == value
+    assert getattr(PRESETS["blobs-bench"], name) != value
+
+
+def test_no_flags_keep_the_preset(monkeypatch):
+    assert scenario_for(monkeypatch, "--preset", "mnist-bench") == PRESETS[
+        "mnist-bench"
+    ]
+
+
+def test_checkpoint_every_defaults_the_path(monkeypatch):
+    config = scenario_for(monkeypatch, "--checkpoint-every", "3")
+    assert config.checkpoint_path == "checkpoint.json"
+
+
+def test_bad_flag_value_names_the_field(monkeypatch):
+    with pytest.raises(ValueError, match="num_workers must be > 0"):
+        scenario_for(monkeypatch, "--num-workers", "0")

@@ -1,5 +1,7 @@
 """Tests for the experiment scenario configuration and presets."""
 
+import re
+
 import pytest
 
 from repro.core.mach import MACHSampler
@@ -41,6 +43,35 @@ class TestScenarioConfig:
     def test_rejects_bad_trace_kind(self):
         with pytest.raises(ValueError):
             ScenarioConfig(trace_kind="teleport")
+
+    @pytest.mark.parametrize("overrides, message", [
+        # Values HFLConfig rejects; the scenario must reject them too.
+        ({"executor": "gpu"}, "executor"),
+        ({"aggregation": "bogus"}, "aggregation"),
+        ({"learning_rate": -1}, "learning_rate"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"local_epochs": 0}, "local_epochs"),
+        ({"sync_interval": 0}, "sync_interval"),
+        ({"num_workers": 0}, "num_workers"),
+        ({"eval_max_interval": 1, "sync_interval": 5}, "eval_max_interval"),
+        # Wrong types name the field.
+        ({"num_steps": "3"}, "num_steps must be int"),
+        ({"learning_rate": "0.1"}, "learning_rate must be float"),
+        ({"learning_rate": True}, "learning_rate must be float"),
+        ({"num_devices": True}, "num_devices must be int"),
+        ({"seed": 1.5}, "seed must be int"),
+        ({"seed": "7"}, "seed must be int"),
+        ({"num_workers": 2.0}, "num_workers must be int or None"),
+        ({"topology": 3}, "topology must be str"),
+    ])
+    def test_rejects_bad_values(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioConfig(**overrides)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioConfig().with_overrides(**overrides)
+
+    def test_int_is_a_valid_float(self):
+        assert ScenarioConfig(learning_rate=1).learning_rate == 1
 
     def test_topology_fields_validated(self):
         ScenarioConfig(topology="gossip", gossip_degree=3)
@@ -89,8 +120,12 @@ class TestScenarioSerialization:
             ScenarioConfig.from_dict(payload)
 
     def test_with_overrides_rejects_unknown_fields(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="unknown ScenarioConfig fields"):
             ScenarioConfig().with_overrides(gossip_degre=3)
+
+    def test_from_dict_rejects_non_dict(self):
+        with pytest.raises(ValueError, match="must be a dict"):
+            ScenarioConfig.from_dict(["num_steps"])
 
 
 class TestPresets:

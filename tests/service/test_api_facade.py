@@ -4,8 +4,7 @@
 ``__all__`` must exist, and the three entry points (``run_scenario`` /
 ``submit`` / ``attach``) must route to the same engine the CLI drives.
 The CLI itself is subcommand-structured (`run`, `serve`, `resume`,
-`bench-smoke`) with the flat legacy invocation kept as a deprecated
-alias of ``run``.
+`bench-smoke`); a call without a subcommand is a usage error.
 """
 
 import numpy as np
@@ -104,10 +103,12 @@ class TestCLISubcommands:
         assert runner.main(["run", *self.run_args()]) == 0
         assert capsys.readouterr().out == ""
 
-    def test_legacy_flat_invocation_warns_but_works(self, capsys):
-        with pytest.warns(FutureWarning, match="deprecated"):
-            assert runner.main(self.run_args()) == 0
-        assert capsys.readouterr().out == ""
+    def test_no_subcommand_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(self.run_args())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "{run,serve,resume,bench-smoke}" in err
 
     def test_resume_subcommand(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
@@ -128,11 +129,11 @@ class TestCLISubcommands:
         assert "bench-smoke PASS" in out
         assert "bit-identical to synchronous trainer: True" in out
 
-    def test_unknown_subcommand_exits(self):
-        # Falls through to the deprecated flat path, where argparse
-        # rejects the stray positional.
-        with pytest.warns(FutureWarning), pytest.raises(SystemExit):
+    def test_unknown_subcommand_exits(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             runner.main(["frobnicate"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_serve_parser_defaults(self):
         args = runner._serve_parser().parse_args([])

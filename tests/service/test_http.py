@@ -135,15 +135,29 @@ class TestErrors:
         client.wait(run_id, timeout=120.0)
 
     def test_bad_submission_is_400(self, client):
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/v1/runs", {"sampler": "mach"})
-        assert excinfo.value.status == 400
-        with pytest.raises(ServiceError) as excinfo:
-            client._request(
-                "POST", "/v1/runs",
-                {"preset": "blobs-bench", "sampler": "not-a-sampler"},
-            )
-        assert excinfo.value.status == 400
+        # Each malformed body gets a 400 carrying a JSON error that
+        # names the problem, and registers no run.
+        cases = [
+            ([1, 2], "must be a JSON object"),
+            ({"sampler": "mach"}, "exactly one of"),
+            ({"preset": "blobs-bench", "sampler": "not-a-sampler"},
+             "unknown sampler"),
+            ({"preset": "blobs-bench", "overrides": {"executor": "gpu"}},
+             "executor must be one of"),
+            ({"preset": "blobs-bench", "overrides": {"gossip_degre": 3}},
+             "unknown ScenarioConfig fields: ['gossip_degre']"),
+            ({"preset": "blobs-bench", "overrides": {"num_steps": "3"}},
+             "num_steps must be int"),
+            ({"preset": "blobs-bench", "seed": "3"}, "seed must be int"),
+            ({"preset": "blobs-bench", "overrides": [1]},
+             "'overrides' must be a JSON object"),
+        ]
+        for body, message in cases:
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", "/v1/runs", body)
+            assert excinfo.value.status == 400
+            assert message in str(excinfo.value)
+        assert client.list_runs() == []
 
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
