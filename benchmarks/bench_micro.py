@@ -60,12 +60,12 @@ def test_bench_edge_aggregation(benchmark, rng):
     dim = 5000
     edge = Edge(0, 5.0, dim)
     edge.set_model(rng.normal(size=dim))
-    members = list(range(10))
-    q = np.full(10, 0.5)
+    sampled = list(range(5))
+    q = np.full(5, 0.5)
     results = {
-        m: LocalUpdateResult(m, rng.normal(size=dim), [1.0], 0.5) for m in range(5)
+        m: LocalUpdateResult(m, rng.normal(size=dim), [1.0], 0.5) for m in sampled
     }
-    benchmark(edge.aggregate, members, q, results, "fedavg")
+    benchmark(edge.aggregate, sampled, q, results, 10, mode="fedavg")
 
 
 def test_bench_markov_trace_generation(benchmark):

@@ -44,23 +44,33 @@ class Edge:
 
     def aggregate(
         self,
-        member_devices: Sequence[int],
+        sampled: Sequence[int],
         probabilities: np.ndarray,
         results: Dict[int, LocalUpdateResult],
+        num_members: int,
         mode: str = "delta",
         renormalize: bool = False,
     ) -> np.ndarray:
         """Aggregate the sampled devices' models (Eq. (5)) into ``w^{t+1}_n``.
 
+        Only the sampled devices contribute, and Eq. (5)'s weight
+        ``1/(|M^t_n| q)`` needs only the member *count*, so the cost is
+        O(participants) however many members the edge holds.
+
         Parameters
         ----------
-        member_devices:
-            The full member set ``M^t_n`` (participants and not).
+        sampled:
+            The devices whose indicator was 1, in member order (the
+            accumulation order, so it fixes the floating-point result).
         probabilities:
-            The strategy ``Q^t_n`` aligned with ``member_devices``.
+            Their strategy probabilities ``q^t_{m,n}``, aligned with
+            ``sampled``.
         results:
-            Local-update results keyed by device id, for exactly the
-            devices whose indicator was 1.
+            Local-update results keyed by device id, for the sampled
+            devices whose upload survived; a sampled device absent from
+            ``results`` is skipped.
+        num_members:
+            The member count ``|M^t_n|`` (participants and not).
         mode:
             ``"delta"`` aggregates inverse-probability-weighted model
             *updates* around the previous edge model — the unbiased
@@ -69,8 +79,9 @@ class Edge:
             realized weights only sum to 1 in expectation, the variance
             source §III-B.2 discusses).  ``"normalized"`` divides the
             raw-model sum by the realized weight total (biased, low
-            variance).  When no member participated, the edge keeps its
-            previous model.
+            variance).  ``"fedavg"`` averages the survivors' updates
+            with weight ``1/len(results)``.  When no member
+            participated, the edge keeps its previous model.
         renormalize:
             Divide the inverse-probability weights by their realized sum
             so they sum to 1 over the devices actually present in
@@ -85,22 +96,18 @@ class Edge:
         if mode not in ("delta", "model", "normalized", "fedavg"):
             raise ValueError(f"unknown aggregation mode {mode!r}")
         probabilities = np.asarray(probabilities, dtype=float)
-        if probabilities.shape != (len(member_devices),):
+        if probabilities.shape != (len(sampled),):
             raise ValueError(
-                f"probabilities must align with member_devices: "
-                f"{probabilities.shape} vs {len(member_devices)}"
+                f"probabilities must align with sampled: "
+                f"{probabilities.shape} vs {len(sampled)}"
             )
         if not results:
             return self.model
 
-        # The full-member walk is a documented city-scale hotspot
-        # (O(|M^t_n|) per round); the profiling site is a no-op unless a
-        # profiler is installed (see repro.prof).
         with profile_site("hfl", "edge_aggregate", edge=self.edge_id):
-            member_count = len(member_devices)
             total_weight = 0.0
             accumulator = np.zeros_like(self.model)
-            for device_id, q in zip(member_devices, probabilities):
+            for device_id, q in zip(sampled, probabilities):
                 result = results.get(device_id)
                 if result is None:
                     continue
@@ -111,7 +118,7 @@ class Edge:
                 if mode == "fedavg":
                     weight = 1.0 / len(results)
                 else:
-                    weight = 1.0 / (member_count * q)
+                    weight = 1.0 / (num_members * q)
                 total_weight += weight
                 if mode in ("delta", "fedavg"):
                     accumulator += weight * (result.final_model - self.model)

@@ -156,6 +156,9 @@ class _PendingRound:
     edge: Edge
     members: np.ndarray
     probabilities: np.ndarray
+    #: The devices whose indicator was 1, in member order, and their q.
+    sampled: np.ndarray
+    sampled_q: np.ndarray
     plan: EdgeRoundPlan
 
 
@@ -423,22 +426,26 @@ class HFLTrainer:
         self.obs.sampling(
             t, edge.edge_id, members, probabilities, indicators, self.sampler
         )
+        # Everything after the draw touches the sampled devices only.
+        sampled = members[indicators]
+        sampled_q = probabilities[indicators]
         items = tuple(
             LocalUpdateItem(
                 step=t,
                 edge=edge.edge_id,
-                device_id=int(m),
+                device_id=m,
                 local_epochs=self.config.local_epochs,
                 learning_rate=self.config.learning_rate,
                 batch_size=self.config.batch_size,
             )
-            for m, sampled in zip(members, indicators)
-            if sampled
+            for m in sampled.tolist()
         )
         plan = EdgeRoundPlan(
             step=t, edge=edge.edge_id, start_model=edge.model, items=items
         )
-        return _PendingRound(edge, members, probabilities, plan)
+        return _PendingRound(
+            edge, members, probabilities, sampled, sampled_q, plan
+        )
 
     def _screen_uploads(
         self,
@@ -516,23 +523,24 @@ class HFLTrainer:
         if parked:
             self._park_uploads(t, pending, parked, num_sampled)
 
-        for m in pending.members:
-            result = results.get(int(m))
+        for m in pending.sampled.tolist():
+            result = results.get(m)
             if result is not None:
                 self.sampler.observe_participation(
-                    t, int(m), result.grad_sq_norms, result.mean_loss
+                    t, m, result.grad_sq_norms, result.mean_loss
                 )
                 self._participation_counts[m] += 1
-            elif int(m) in failures:
+            elif m in failures:
                 # Sampled but failed: reliability feedback, no experience.
-                self.sampler.observe_failure(t, int(m))
+                self.sampler.observe_failure(t, m)
             # Parked devices get neither: their feedback is deferred to
             # the admission (or drop) of their buffered upload.
 
         pending.edge.aggregate(
-            list(pending.members),
-            pending.probabilities,
+            pending.sampled,
+            pending.sampled_q,
             results,
+            len(pending.members),
             mode=self.config.aggregation,
             # A fault (or a parked straggler) changed the realized
             # participation away from the strategy's q: average over
@@ -545,6 +553,7 @@ class HFLTrainer:
             pending.edge.edge_id,
             pending.members,
             pending.probabilities,
+            pending.sampled,
             results,
             failures,
             num_sampled,
@@ -568,7 +577,7 @@ class HFLTrainer:
         under kill/resume.  Admission happens in the finish phase of
         ``admit_step`` (see :meth:`_admit_stale`).
         """
-        position = {int(m): i for i, m in enumerate(pending.members)}
+        q_of = dict(zip(pending.sampled.tolist(), pending.sampled_q.tolist()))
         for m in sorted(parked):
             result = parked[m]
             delay = int(
@@ -579,8 +588,7 @@ class HFLTrainer:
             if self.config.aggregation == "fedavg":
                 weight = 1.0 / max(num_sampled, 1)
             else:
-                q = float(pending.probabilities[position[m]])
-                weight = 1.0 / (len(pending.members) * q)
+                weight = 1.0 / (len(pending.members) * q_of[m])
             self._stale_buffer.append(
                 _StaleUpload(
                     device=m,

@@ -326,12 +326,13 @@ class Observability:
                 components,
             )
 
-    def round(self, t, edge, members, probabilities, results, failures,
-              num_sampled, num_parked) -> None:
-        """A finished round: survivors (``results``), lost uploads
-        (``failures``: device → fault kind) and device↔edge traffic."""
+    def round(self, t, edge, members, probabilities, sampled, results,
+              failures, num_sampled, num_parked) -> None:
+        """A finished round: survivors (``results``, a subset of the
+        ``sampled`` devices), lost uploads (``failures``: device → fault
+        kind) and device↔edge traffic."""
         if self._hooks["record_round"]:
-            participants = [int(m) for m in members if int(m) in results]
+            participants = [m for m in sampled.tolist() if m in results]
             self._emit(
                 "record_round", t, edge, members, probabilities, participants,
                 [results[m].mean_grad_sq_norm for m in participants],

@@ -17,9 +17,10 @@ Instrumented call sites do::
 
 When no profiler is installed (the default), :func:`profile_site`
 returns a shared no-op context manager: the cost is one global read and
-one function call per site entry, which is noise next to the O(members)
-work the sites wrap.  When a profiler is active the site records wall
-and CPU seconds into it, tagged with the profiler's current phase.
+one function call per site entry, which is noise next to the array
+work the sites wrap (a membership scan, an edge aggregation).  When a
+profiler is active the site records wall and CPU seconds into it,
+tagged with the profiler's current phase.
 
 The sink installed via :func:`set_profiler` is duck-typed: anything
 with a ``record_site(subsystem, site, wall, cpu, attrs)`` method works.

@@ -12,6 +12,7 @@ Endpoints (all JSON unless noted):
 - ``POST /v1/runs`` — submit ``{"preset": ...}`` or ``{"scenario":
   {...}}`` plus optional ``overrides``/``sampler``/``seed``/
   ``stop_at_target``; returns ``{"run_id": ..., "api_version": ...}``.
+  A body longer than :data:`MAX_BODY_BYTES` is refused with 413.
 - ``GET /v1/runs`` — list run statuses.
 - ``GET /v1/runs/<id>`` — one run's status.
 - ``GET /v1/runs/<id>/rounds[?follow=1]`` — round metrics as JSONL
@@ -37,6 +38,14 @@ from repro.service.coordinator import Coordinator, UnknownRunError
 #: Version tag of the service/facade surface; served from /v1/version
 #: and echoed by submissions so clients can assert compatibility.
 API_VERSION = "1.0"
+
+#: Largest request body the service reads, in bytes (1 MiB).  A request
+#: declaring a longer ``Content-Length`` is answered 413 unread.
+MAX_BODY_BYTES = 1 << 20
+
+
+class BodyTooLargeError(ValueError):
+    """A request declared a body longer than :data:`MAX_BODY_BYTES`."""
 
 
 def scenario_from_request(body: dict) -> Tuple[ScenarioConfig, Optional[str]]:
@@ -74,6 +83,8 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -91,7 +102,25 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, status=status)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The JSON request body, read only after its length is checked.
+
+        A bad or oversized ``Content-Length`` leaves the body unread, so
+        the connection is closed after the error response.
+        """
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ValueError(f"invalid Content-Length: {declared!r}")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise BodyTooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         if length == 0:
             return {}
         return json.loads(self.rfile.read(length).decode())
@@ -173,6 +202,8 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
                 self._error(404, f"no such endpoint: {parsed.path}")
         except UnknownRunError as error:
             self._error(404, f"unknown run: {error.args[0]}")
+        except BodyTooLargeError as error:
+            self._error(413, str(error))
         except (ValueError, RuntimeError) as error:
             self._error(400, str(error))
 

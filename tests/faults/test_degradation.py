@@ -281,7 +281,8 @@ class TestEdgeRenormalization:
         undershoot; renormalize makes them a survivor average."""
         edge = Edge(0, capacity=2.0, model_dim=4)
         edge.set_model(np.zeros(4))
-        members = [0, 1]
+        sampled = [0, 1]  # device 1 was sampled, its upload lost
+        num_members = 2
         probabilities = np.array([0.5, 0.5])
         survivor = LocalUpdateResult(
             device_id=0,
@@ -291,12 +292,14 @@ class TestEdgeRenormalization:
         )
         raw = Edge(0, capacity=2.0, model_dim=4)
         raw.set_model(np.zeros(4))
-        raw.aggregate(members, probabilities, {0: survivor}, mode="delta")
+        raw.aggregate(
+            sampled, probabilities, {0: survivor}, num_members, mode="delta"
+        )
         # Raw IPW weight: 1 / (2 members * 0.5) = 1.0 → full delta.
         np.testing.assert_allclose(raw.model, np.ones(4))
 
         edge.aggregate(
-            members, probabilities, {0: survivor}, mode="delta",
+            sampled, probabilities, {0: survivor}, num_members, mode="delta",
             renormalize=True,
         )
         # Renormalized: weights sum to 1 over the single survivor.
@@ -306,15 +309,16 @@ class TestEdgeRenormalization:
         uneven = Edge(0, capacity=2.0, model_dim=4)
         uneven.set_model(np.zeros(4))
         uneven.aggregate(
-            members, np.array([0.25, 0.75]), {0: survivor}, mode="delta",
+            sampled, np.array([0.25, 0.75]), {0: survivor}, num_members,
+            mode="delta",
         )
         np.testing.assert_allclose(uneven.model, np.full(4, 2.0))
 
         renorm = Edge(0, capacity=2.0, model_dim=4)
         renorm.set_model(np.zeros(4))
         renorm.aggregate(
-            members, np.array([0.25, 0.75]), {0: survivor}, mode="delta",
-            renormalize=True,
+            sampled, np.array([0.25, 0.75]), {0: survivor}, num_members,
+            mode="delta", renormalize=True,
         )
         np.testing.assert_allclose(renorm.model, np.ones(4))
 
@@ -327,4 +331,4 @@ class TestEdgeRenormalization:
             mean_loss=0.5,
         )
         with pytest.raises(ValueError, match="non-finite"):
-            edge.aggregate([0], np.array([1.0]), {0: bad}, mode="delta")
+            edge.aggregate([0], np.array([1.0]), {0: bad}, 1, mode="delta")

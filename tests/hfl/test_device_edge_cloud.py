@@ -98,7 +98,7 @@ class TestEdge:
     def test_no_participants_keeps_model(self):
         edge = Edge(0, 2.0, 4)
         edge.set_model(np.full(4, 7.0))
-        out = edge.aggregate([0, 1], np.array([0.5, 0.5]), {}, mode="delta")
+        out = edge.aggregate([0, 1], np.array([0.5, 0.5]), {}, 2, mode="delta")
         np.testing.assert_array_equal(out, np.full(4, 7.0))
 
     def test_delta_mode_full_participation_uniform_q(self):
@@ -106,22 +106,22 @@ class TestEdge:
         edge = Edge(0, 2.0, 4)
         edge.set_model(np.zeros(4))
         results = self.make_results([0, 1])
-        out = edge.aggregate([0, 1], np.ones(2), results, mode="delta")
+        out = edge.aggregate([0, 1], np.ones(2), results, 2, mode="delta")
         np.testing.assert_allclose(out, (1.0 + 2.0) / 2)
 
     def test_model_mode_is_literal_eq5(self):
         edge = Edge(0, 2.0, 4)
         edge.set_model(np.zeros(4))
         results = self.make_results([0])
-        out = edge.aggregate([0, 1], np.array([0.5, 0.5]), results, mode="model")
-        # weight = 1/(2 * 0.5) = 1 for the single participant.
+        out = edge.aggregate([0], np.array([0.5]), results, 2, mode="model")
+        # weight = 1/(2 members * 0.5) = 1 for the single participant.
         np.testing.assert_allclose(out, 1.0)
 
     def test_normalized_mode_weights_sum_to_one(self):
         edge = Edge(0, 2.0, 4)
         edge.set_model(np.zeros(4))
         results = self.make_results([0, 1])
-        out = edge.aggregate([0, 1], np.array([0.25, 0.75]), results, mode="normalized")
+        out = edge.aggregate([0, 1], np.array([0.25, 0.75]), results, 2, mode="normalized")
         w0, w1 = 1 / (2 * 0.25), 1 / (2 * 0.75)
         expected = (w0 * 1.0 + w1 * 2.0) / (w0 + w1)
         np.testing.assert_allclose(out, expected)
@@ -130,7 +130,7 @@ class TestEdge:
         edge = Edge(0, 2.0, 4)
         edge.set_model(np.zeros(4))
         results = self.make_results([0, 1])
-        out = edge.aggregate([0, 1, 2], np.array([0.9, 0.1, 0.5]), results, mode="fedavg")
+        out = edge.aggregate([0, 1], np.array([0.9, 0.1]), results, 3, mode="fedavg")
         np.testing.assert_allclose(out, 1.5)  # plain mean of participants
 
     def test_ipw_unbiasedness_monte_carlo(self):
@@ -145,29 +145,123 @@ class TestEdge:
             participation = rng.random(4) < q
             edge = Edge(0, 2.0, 3)
             edge.set_model(np.zeros(3))
+            sampled = np.flatnonzero(participation)
             results = {
                 m: LocalUpdateResult(m, deltas[m], [1.0], 0.1)
-                for m in range(4)
-                if participation[m]
+                for m in sampled.tolist()
             }
-            total += edge.aggregate(list(range(4)), q, results, mode="delta")
+            total += edge.aggregate(
+                sampled, q[participation], results, 4, mode="delta"
+            )
         np.testing.assert_allclose(total / trials, deltas.mean(axis=0), atol=0.02)
 
     def test_zero_probability_participant_rejected(self):
         edge = Edge(0, 2.0, 4)
         results = self.make_results([0])
         with pytest.raises(ValueError, match="probability"):
-            edge.aggregate([0], np.array([0.0]), results, mode="delta")
+            edge.aggregate([0], np.array([0.0]), results, 1, mode="delta")
 
     def test_unknown_mode_rejected(self):
         edge = Edge(0, 2.0, 4)
         with pytest.raises(ValueError, match="unknown aggregation"):
-            edge.aggregate([0], np.array([0.5]), self.make_results([0]), mode="median")
+            edge.aggregate(
+                [0], np.array([0.5]), self.make_results([0]), 1, mode="median"
+            )
 
     def test_misaligned_probabilities_rejected(self):
         edge = Edge(0, 2.0, 4)
         with pytest.raises(ValueError, match="align"):
-            edge.aggregate([0, 1], np.array([0.5]), {}, mode="delta")
+            edge.aggregate([0, 1], np.array([0.5]), {}, 2, mode="delta")
+
+    def test_sampled_but_failed_device_is_skipped(self):
+        """A sampled device absent from ``results`` (its upload was lost)
+        contributes nothing; the survivors keep their Eq. (5) weights."""
+        results = self.make_results([0, 2])
+        q = np.array([0.5, 0.5, 0.5])
+        with_failure = Edge(0, 2.0, 4)
+        out = with_failure.aggregate([0, 1, 2], q, results, 3, mode="delta")
+        survivors_only = Edge(0, 2.0, 4)
+        expected = survivors_only.aggregate(
+            [0, 2], q[[0, 2]], results, 3, mode="delta"
+        )
+        np.testing.assert_array_equal(out, expected)
+        # weight = 1/(3 * 0.5) for each of the values 1.0 and 3.0.
+        np.testing.assert_allclose(out, (1.0 + 3.0) / 1.5)
+
+    def test_weight_uses_member_count_not_sampled_count(self):
+        edge = Edge(0, 2.0, 4)
+        edge.set_model(np.zeros(4))
+        out = edge.aggregate([0], np.array([0.5]), self.make_results([0]), 4,
+                             mode="model")
+        # 1/(4 members * 0.5) = 0.5; the sampled count (1) would give 2.0.
+        np.testing.assert_allclose(out, 0.5)
+
+    def test_fedavg_divides_by_survivor_count(self):
+        edge = Edge(0, 2.0, 4)
+        edge.set_model(np.zeros(4))
+        results = self.make_results([0, 1])
+        out = edge.aggregate([0, 1, 2], np.array([0.9, 0.1, 0.5]), results, 5,
+                             mode="fedavg")
+        # Device 2 was sampled but failed: the mean is over 2 survivors.
+        np.testing.assert_allclose(out, 1.5)
+
+    @pytest.mark.parametrize("q", [0.0, -0.25])
+    def test_survivor_with_non_positive_probability_rejected(self, q):
+        edge = Edge(0, 2.0, 4)
+        probabilities = np.array([0.5, q])
+        with pytest.raises(ValueError, match="probability"):
+            edge.aggregate([0, 1], probabilities, self.make_results([0, 1]), 2)
+        # Only survivors are checked: the same q on a failed device is inert.
+        out = edge.aggregate([0, 1], probabilities, self.make_results([0]), 2)
+        np.testing.assert_allclose(out, 1.0)
+
+    @staticmethod
+    def member_walk(start, members, q, results, mode, renormalize):
+        """Reference Eq. (5): the walk over every member, sampled or not."""
+        total_weight, accumulator = 0.0, np.zeros_like(start)
+        for device_id, q_m in zip(members, q):
+            result = results.get(device_id)
+            if result is None:
+                continue
+            if mode == "fedavg":
+                weight = 1.0 / len(results)
+            else:
+                weight = 1.0 / (len(members) * q_m)
+            total_weight += weight
+            if mode in ("delta", "fedavg"):
+                accumulator += weight * (result.final_model - start)
+            else:
+                accumulator += weight * result.final_model
+        if renormalize and mode in ("delta", "model"):
+            accumulator = accumulator / total_weight
+        if mode in ("delta", "fedavg"):
+            return start + accumulator
+        if mode == "model":
+            return accumulator
+        return accumulator / total_weight
+
+    @pytest.mark.parametrize("mode", ["delta", "model", "normalized", "fedavg"])
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_sampled_walk_is_bit_identical_to_member_walk(self, mode, renormalize):
+        rng = np.random.default_rng(7)
+        members = np.sort(rng.choice(1000, size=60, replace=False))
+        q = rng.uniform(0.05, 1.0, size=members.size)
+        indicators = rng.random(members.size) < 0.3
+        sampled = members[indicators]
+        survivors = sampled[rng.random(sampled.size) < 0.8]
+        results = {
+            m: LocalUpdateResult(m, rng.normal(size=5), [1.0], 0.5)
+            for m in survivors.tolist()
+        }
+        start = rng.normal(size=5)
+        edge = Edge(0, 2.0, 5)
+        edge.set_model(start)
+        out = edge.aggregate(
+            sampled, q[indicators], results, members.size, mode=mode,
+            renormalize=renormalize,
+        )
+        expected = self.member_walk(start, members, q, results, mode, renormalize)
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestCloud:

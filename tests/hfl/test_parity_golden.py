@@ -1,0 +1,195 @@
+"""Parity goldens for the trainer's bookkeeping after the participation draw.
+
+Small ``blobs-bench`` scenarios run to completion; their final
+cloud-model SHA-256, per-device participation counts and per-step
+participant counts must equal recorded literals.  The second scenario
+adds faults, churn, bounded staleness and a ``TelemetryRecorder``, so
+sampler feedback, survivor aggregation, straggler parking and the round
+records (whose per-edge participant counts are pinned too) are all on
+the checked path.  It runs under fedavg, the scenario default, and
+under the Eq. (5) ``"delta"`` aggregation, whose inverse-probability
+weights fedavg never reads.
+
+blobs data does not depend on ``PYTHONHASHSEED``.  The floating-point
+result does depend on numpy, so the goldens skip under any other numpy
+version than the one they were recorded with; the CI test job pins that
+version on its Python 3.11 leg, and its Python 3.9 leg skips them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.experiments.config import PRESETS
+from repro.experiments.runner import build_scenario, hfl_config_for, make_sampler
+from repro.hfl.telemetry import TelemetryRecorder
+from repro.hfl.trainer import HFLTrainer
+
+RECORDED_NUMPY = "2.4.6"
+
+BASE = dict(
+    num_devices=300,
+    num_steps=30,
+    participation_fraction=0.1,
+    samples_per_device=20,
+    trace_kind="markov",
+    trace_backend="streaming",
+    mach_selection="topk",
+)
+CHAOS = dict(
+    BASE, fault_profile="moderate", churn_profile="light", max_staleness=2
+)
+
+BASE_GOLDEN = {
+    "sha256": "841aa19360e3404fdab00d7b5cf63d5ea6db8f7ec926ce0320d178ae752a3112",
+    "participation_counts": [
+        3, 1, 3, 3, 2, 2, 2, 2, 4, 3, 4, 7, 4, 4, 2, 2, 3, 5, 4, 3, 3, 3, 2, 2,
+        6, 2, 3, 2, 5, 4, 2, 3, 3, 5, 4, 2, 2, 3, 5, 2, 2, 3, 2, 3, 2, 2, 2, 6,
+        2, 3, 6, 3, 2, 3, 2, 3, 5, 2, 3, 1, 3, 2, 2, 2, 3, 5, 5, 5, 3, 4, 6, 2,
+        2, 3, 2, 4, 2, 4, 3, 4, 3, 3, 3, 3, 4, 5, 3, 2, 3, 3, 3, 4, 6, 3, 3, 4,
+        3, 4, 3, 5, 2, 3, 5, 3, 3, 2, 6, 4, 4, 3, 2, 1, 4, 3, 3, 2, 2, 2, 4, 2,
+        4, 2, 3, 5, 4, 3, 2, 2, 6, 3, 2, 5, 3, 2, 2, 2, 3, 3, 2, 4, 4, 1, 2, 1,
+        2, 4, 1, 2, 5, 3, 2, 3, 4, 2, 4, 4, 2, 4, 1, 3, 6, 3, 2, 2, 3, 4, 7, 3,
+        3, 3, 3, 3, 2, 2, 7, 2, 2, 2, 1, 3, 3, 2, 1, 2, 3, 3, 1, 1, 3, 2, 1, 3,
+        1, 2, 5, 1, 1, 2, 2, 4, 5, 4, 1, 3, 4, 5, 1, 1, 4, 4, 1, 2, 3, 3, 4, 3,
+        1, 4, 3, 2, 3, 1, 4, 2, 5, 3, 1, 3, 4, 4, 4, 5, 4, 2, 1, 1, 4, 2, 2, 2,
+        3, 4, 1, 4, 3, 3, 3, 1, 2, 1, 1, 2, 2, 1, 1, 1, 2, 2, 2, 1, 1, 4, 2, 4,
+        3, 1, 3, 2, 3, 2, 2, 2, 2, 1, 1, 1, 2, 3, 2, 4, 4, 4, 2, 4, 1, 2, 4, 1,
+        6, 2, 2, 5, 2, 2, 2, 1, 4, 4, 3, 3
+    ],
+    "per_step": [
+        34, 29, 27, 28, 45, 18, 25, 21, 37, 31, 25, 28, 23, 23, 30, 26, 31, 32,
+        37, 25, 28, 34, 21, 32, 28, 33, 26, 27, 34, 21
+    ],
+}
+
+CHAOS_GOLDEN = {
+    "sha256": "d51960f683228fd35eaff5ef8beb69cebedb3a77d2da856d3f685ef4999b45c9",
+    "participation_counts": [
+        1, 1, 0, 2, 0, 3, 2, 0, 3, 5, 5, 0, 2, 0, 3, 2, 3, 5, 2, 3, 1, 2, 2, 0,
+        6, 0, 3, 2, 0, 5, 0, 2, 1, 2, 0, 1, 2, 4, 0, 3, 4, 0, 1, 5, 3, 0, 3, 3,
+        0, 4, 5, 0, 5, 3, 0, 2, 4, 4, 2, 0, 3, 3, 2, 3, 3, 5, 3, 2, 4, 3, 5, 0,
+        1, 1, 3, 0, 4, 0, 4, 0, 4, 5, 4, 3, 3, 3, 3, 3, 4, 4, 3, 1, 1, 2, 3, 5,
+        3, 1, 2, 6, 3, 5, 4, 1, 4, 5, 2, 3, 4, 2, 4, 3, 5, 1, 1, 4, 2, 3, 4, 2,
+        1, 4, 3, 4, 3, 0, 1, 2, 4, 3, 2, 1, 4, 2, 1, 3, 1, 1, 2, 1, 4, 1, 4, 3,
+        6, 4, 1, 3, 2, 2, 6, 6, 2, 2, 0, 6, 1, 3, 0, 4, 7, 0, 4, 3, 5, 1, 3, 3,
+        3, 2, 4, 2, 2, 2, 8, 3, 4, 2, 2, 3, 3, 2, 3, 1, 0, 0, 2, 0, 2, 0, 0, 5,
+        2, 5, 4, 1, 0, 2, 2, 4, 2, 2, 3, 1, 2, 1, 2, 2, 1, 3, 6, 1, 0, 4, 6, 2,
+        3, 5, 4, 0, 3, 1, 2, 0, 7, 0, 2, 2, 3, 0, 3, 2, 0, 1, 2, 0, 3, 2, 3, 1,
+        1, 4, 2, 4, 2, 1, 1, 2, 3, 2, 1, 0, 2, 2, 3, 1, 3, 0, 3, 4, 1, 0, 1, 2,
+        0, 2, 6, 3, 0, 3, 3, 1, 4, 0, 2, 1, 2, 5, 2, 2, 4, 3, 1, 1, 1, 2, 1, 3,
+        5, 2, 3, 1, 3, 5, 2, 2, 3, 3, 2, 2
+    ],
+    "per_step": [
+        28, 23, 22, 25, 37, 12, 24, 22, 33, 30, 25, 26, 26, 21, 20, 18, 21, 17,
+        30, 29, 27, 22, 21, 24, 27, 24, 19, 30, 25, 9
+    ],
+    "per_round": [
+        6, 2, 6, 8, 6, 3, 2, 3, 6, 9, 3, 5, 5, 7, 2, 3, 11, 4, 3, 4, 11, 7, 7,
+        8, 4, 1, 4, 4, 1, 2, 5, 5, 4, 5, 5, 3, 6, 6, 4, 3, 6, 7, 6, 8, 6, 5, 7,
+        4, 6, 8, 4, 5, 6, 7, 3, 9, 3, 5, 2, 7, 8, 5, 4, 5, 4, 5, 3, 4, 4, 5, 2,
+        3, 5, 5, 5, 3, 6, 4, 2, 3, 5, 5, 6, 3, 2, 3, 4, 2, 4, 4, 7, 8, 4, 8, 3,
+        5, 7, 5, 6, 6, 5, 4, 8, 4, 6, 3, 4, 7, 7, 1, 2, 8, 1, 4, 6, 5, 7, 5, 2,
+        5, 3, 5, 6, 7, 6, 2, 5, 4, 7, 6, 8, 4, 4, 1, 2, 7, 5, 4, 10, 4, 4, 3,
+        5, 5, 8, 1, 2, 5, 1, 0
+    ],
+    # late admits, late drops, devices joined, devices left
+    "open_world": (4, 0, 68, 128),
+}
+
+CHAOS_DELTA_GOLDEN = {
+    "sha256": "d66e40ecd53981191ca0ec0f4f6fbef9077c229137b95433c11366e1975b0875",
+    "participation_counts": [
+        1, 1, 0, 2, 0, 3, 2, 0, 3, 5, 5, 0, 2, 0, 3, 2, 3, 5, 2, 3, 1, 2, 2, 0,
+        6, 0, 3, 2, 0, 3, 0, 2, 1, 2, 0, 1, 2, 4, 0, 4, 4, 0, 1, 5, 2, 0, 3, 3,
+        0, 4, 5, 0, 5, 3, 0, 2, 4, 4, 2, 0, 3, 3, 2, 3, 3, 5, 3, 2, 4, 3, 6, 0,
+        1, 1, 3, 0, 4, 0, 4, 0, 4, 4, 4, 3, 3, 3, 3, 2, 4, 4, 5, 1, 1, 2, 3, 4,
+        3, 1, 2, 5, 3, 6, 4, 1, 3, 4, 2, 3, 4, 2, 4, 3, 5, 1, 1, 4, 2, 3, 4, 2,
+        1, 4, 3, 3, 3, 0, 1, 2, 4, 3, 2, 2, 4, 3, 1, 3, 1, 1, 2, 1, 4, 1, 4, 3,
+        6, 4, 1, 4, 2, 2, 5, 6, 2, 2, 0, 6, 1, 3, 0, 4, 7, 0, 4, 3, 5, 1, 3, 3,
+        3, 2, 4, 2, 2, 2, 8, 3, 3, 2, 2, 4, 3, 2, 3, 1, 0, 0, 2, 0, 2, 0, 0, 5,
+        2, 5, 4, 1, 0, 2, 2, 4, 2, 2, 3, 1, 1, 1, 2, 2, 1, 3, 6, 1, 0, 4, 6, 2,
+        3, 6, 4, 0, 2, 1, 2, 0, 7, 0, 2, 2, 3, 0, 3, 2, 0, 1, 2, 0, 3, 2, 2, 1,
+        1, 4, 2, 4, 2, 1, 1, 2, 3, 3, 1, 0, 2, 2, 3, 1, 3, 0, 3, 4, 1, 0, 1, 2,
+        0, 2, 7, 3, 0, 3, 4, 1, 4, 0, 2, 1, 3, 5, 2, 2, 4, 3, 1, 2, 1, 2, 2, 3,
+        5, 2, 3, 1, 2, 5, 2, 2, 3, 2, 2, 2
+    ],
+    "per_step": [
+        28, 23, 22, 25, 37, 12, 24, 22, 33, 30, 25, 23, 25, 20, 20, 19, 21, 17,
+        32, 30, 27, 23, 22, 24, 25, 25, 18, 29, 24, 11
+    ],
+    "per_round": [
+        6, 2, 6, 8, 6, 3, 2, 3, 6, 9, 3, 5, 5, 7, 2, 3, 11, 4, 3, 4, 11, 7, 7,
+        8, 4, 1, 4, 4, 1, 2, 5, 5, 4, 5, 5, 3, 6, 6, 4, 3, 6, 7, 6, 8, 6, 5, 7,
+        4, 6, 8, 4, 5, 6, 7, 3, 7, 3, 4, 2, 7, 7, 5, 4, 5, 4, 5, 3, 4, 4, 4, 2,
+        3, 5, 5, 5, 3, 6, 4, 2, 4, 5, 5, 6, 3, 2, 3, 4, 2, 4, 4, 7, 8, 4, 8, 5,
+        5, 7, 6, 6, 6, 5, 4, 8, 4, 6, 3, 5, 7, 7, 1, 3, 7, 2, 4, 6, 5, 7, 5, 2,
+        5, 2, 5, 6, 7, 5, 2, 6, 4, 7, 6, 7, 4, 4, 1, 2, 8, 5, 4, 8, 4, 4, 3, 6,
+        3, 8, 1, 3, 5, 1, 1
+    ],
+    "open_world": (4, 0, 68, 128),
+}
+
+pytestmark = pytest.mark.skipif(
+    np.__version__ != RECORDED_NUMPY,
+    reason=(
+        f"parity goldens were recorded with numpy {RECORDED_NUMPY}; "
+        f"numpy {np.__version__} may round differently"
+    ),
+)
+
+
+def _run(overrides, telemetry=None):
+    config = PRESETS["blobs-bench"].with_overrides(**overrides)
+    devices, test, trace, model_factory = build_scenario(config, 0)
+    trainer = HFLTrainer(
+        model_factory=model_factory,
+        device_datasets=devices,
+        trace=trace,
+        sampler=make_sampler("mach", config),
+        config=hfl_config_for(config, 0),
+        test_dataset=test,
+        telemetry=telemetry,
+    )
+    with trainer:
+        per_step = [o.participants for o in trainer.steps(config.num_steps)]
+        return trainer.result(), per_step
+
+
+def _sha256(model: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(model).tobytes()).hexdigest()
+
+
+def test_topk_streaming_markov_matches_golden():
+    result, per_step = _run(BASE)
+    assert _sha256(result.final_cloud_model) == BASE_GOLDEN["sha256"]
+    assert result.participation_counts.tolist() == (
+        BASE_GOLDEN["participation_counts"]
+    )
+    assert per_step == BASE_GOLDEN["per_step"]
+
+
+@pytest.mark.parametrize(
+    "aggregation, golden",
+    [("fedavg", CHAOS_GOLDEN), ("delta", CHAOS_DELTA_GOLDEN)],
+)
+def test_faults_churn_staleness_telemetry_match_golden(aggregation, golden):
+    telemetry = TelemetryRecorder()
+    result, per_step = _run(dict(CHAOS, aggregation=aggregation), telemetry)
+    assert _sha256(result.final_cloud_model) == golden["sha256"]
+    assert result.participation_counts.tolist() == (
+        golden["participation_counts"]
+    )
+    assert per_step == golden["per_step"]
+    assert [r.num_participants for r in telemetry.records] == (
+        golden["per_round"]
+    )
+    assert (
+        result.late_admits,
+        result.late_drops,
+        result.devices_joined,
+        result.devices_left,
+    ) == golden["open_world"]

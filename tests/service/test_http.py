@@ -7,6 +7,7 @@ shortcuts into the coordinator.
 """
 
 import hashlib
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -21,6 +22,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service.http import MAX_BODY_BYTES
 
 from tests.service.conftest import tiny_scenario
 
@@ -157,6 +159,34 @@ class TestErrors:
                 client._request("POST", "/v1/runs", body)
             assert excinfo.value.status == 400
             assert message in str(excinfo.value)
+        assert client.list_runs() == []
+
+    @pytest.mark.parametrize(
+        "declared, status, message",
+        [
+            ("-1", 400, "invalid Content-Length: '-1'"),
+            (str(MAX_BODY_BYTES + 1), 413, "exceeds the 1048576-byte limit"),
+        ],
+    )
+    def test_bad_content_length_is_refused_unread(
+        self, server, client, declared, status, message
+    ):
+        # Only the headers are sent: the answer must come from the
+        # declared length alone, without waiting for a body.
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.putrequest("POST", "/v1/runs")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", declared)
+            connection.endheaders()
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == status
+        assert response.getheader("Connection") == "close"
+        assert message in payload["error"]
         assert client.list_runs() == []
 
     def test_unknown_path_is_404(self, server):
