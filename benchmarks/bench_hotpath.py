@@ -23,8 +23,10 @@ which checks that (1) the flat-buffer parameter aliasing is live and
 survives pickle/deepcopy (the pool-worker contract) with the fused SGD
 step bit-identical to the reference update, (2) the optimized
 (aliased + batched) path reproduces the reference history exactly on
-all three executor backends, and (3) the existing checkpoint
-kill/resume determinism contract still holds on the optimized path.
+all three executor backends, with every CNN edge round stacking at
+least ``MIN_CNN_STACK`` devices (read from the telemetry's
+``num_participants``), and (3) the existing checkpoint kill/resume
+determinism contract still holds on the optimized path.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ from repro.hotpath import hotpath_disabled
 #: workspaces, the dense one the membership index / fused eval / flat
 #: buffer reuse in (nearly) isolation.
 WORKLOADS = ("cnn", "mlp")
+
+#: The smoke's CNN cell must give every edge round at least this many
+#: participants, so every round runs the stacked conv path wide.
+MIN_CNN_STACK = 3
 
 
 def workload_config(args, workload: str):
@@ -267,6 +273,19 @@ def run_smoke(args) -> int:
                 )
                 return 1
         print("        ok: three optimized backends match the reference bit for bit")
+        stacked = [r.num_participants for r in telemetry.records]
+        print(
+            f"        edge rounds stack {min(stacked)}..{max(stacked)} devices"
+        )
+        if workload == "cnn" and min(stacked) < MIN_CNN_STACK:
+            # A round of one or two devices barely exercises the stacked
+            # Conv2d/MaxPool2d twins; more devices per edge fixes it.
+            print(
+                f"FATAL: a CNN edge round stacked {min(stacked)} devices "
+                f"(< {MIN_CNN_STACK}); raise --devices or lower --edges",
+                file=sys.stderr,
+            )
+            return 1
         for phase, stats in telemetry.phase_summary().items():
             print(
                 f"        phase {phase:<8} {stats['seconds']:>9.4f}s "
@@ -292,8 +311,9 @@ def run_smoke(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--devices", type=int, default=12)
-    parser.add_argument("--edges", type=int, default=3)
+    # 20 devices on 2 edges: every CNN edge round stacks >= MIN_CNN_STACK.
+    parser.add_argument("--devices", type=int, default=20)
+    parser.add_argument("--edges", type=int, default=2)
     parser.add_argument("--steps", type=int, default=6)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sampler", default="mach")

@@ -15,14 +15,18 @@ import numpy as np
 
 
 class ConvWorkspace:
-    """Reusable conv scratch buffers, keyed by ``(tag, shape)``.
+    """Reusable conv scratch buffers, one per ``(tag, trailing shape)``.
 
-    One workspace belongs to one layer instance and is therefore only
-    ever touched by one thread at a time (thread workers clone the whole
-    model, process workers own their copy).  A buffer is invalidated
-    simply by shape or dtype mismatch — e.g. the smaller final batch of
-    an epoch gets its own entry instead of corrupting the full-batch
-    one.
+    One workspace belongs to one layer instance (or one stacked conv of
+    a population model) and is therefore only ever touched by one
+    thread at a time (thread workers clone the whole model, process
+    workers own their copy).  A call gets the leading rows of its tag's
+    buffer, which is reallocated only when a call needs more rows than
+    it has: the smaller final batch of an epoch, or a population round
+    of fewer devices, reuses the prefix of the largest buffer so far,
+    so scratch memory is bounded by the largest batch, not by the
+    number of distinct batch sizes.  A trailing-shape or dtype mismatch
+    gets its own entry.
 
     Invalidation rule for callers: an array obtained from a workspace
     (including views of it returned by :func:`im2col` / :func:`col2im`)
@@ -48,19 +52,21 @@ class ConvWorkspace:
         dtype: np.dtype,
         zero_on_alloc: bool = False,
     ) -> np.ndarray:
-        """The cached buffer for ``(tag, shape, dtype)``, allocating once.
+        """A C-contiguous ``shape`` buffer: the first ``shape[0]`` rows
+        of the cached buffer for ``(tag, shape[1:], dtype)``, grown to
+        ``shape`` when it has fewer rows.
 
         ``zero_on_alloc`` zero-fills *freshly allocated* buffers only —
         the pad buffer needs zero borders, and those are never written
-        afterwards, so a cache hit can skip the memset.
+        afterwards (in any row), so a cache hit can skip the memset.
         """
-        key = (tag, shape, np.dtype(dtype))
+        key = (tag, shape[1:], np.dtype(dtype))
         buffer = self._buffers.get(key)
-        if buffer is None:
+        if buffer is None or buffer.shape[0] < shape[0]:
             alloc = np.zeros if zero_on_alloc else np.empty
             buffer = alloc(shape, dtype=dtype)
             self._buffers[key] = buffer
-        return buffer
+        return buffer[: shape[0]]
 
     def __deepcopy__(self, memo) -> "ConvWorkspace":
         return ConvWorkspace()

@@ -7,6 +7,9 @@ All layers follow the same contract:
 - ``backward(grad_out)`` consumes the gradient of the loss w.r.t. the
   layer output, *accumulates* parameter gradients into
   ``Parameter.grad`` and returns the gradient w.r.t. the layer input.
+  Layers with parameters also take ``input_grad=False``, which skips
+  the input gradient and returns ``None``: the first such layer of a
+  network has no consumer for it (DESIGN.md §9).
 
 Shapes are batch-first throughout: dense layers work on (B, F) and
 convolutional layers on (B, C, H, W).
@@ -77,12 +80,16 @@ class Dense(Layer):
             self._cache_x = x
         return x @ self.weight.value + self.bias.value
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cache_x is None:
             raise RuntimeError("backward called before forward(training=True)")
         x = self._cache_x
         self.weight.grad += x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0)
+        if not input_grad:
+            return None
         return grad_out @ self.weight.value.T
 
 
@@ -211,7 +218,9 @@ class Conv2d(Layer):
             self._cache = (x.shape, cols)
         return out.reshape(x.shape[0], self.out_channels, out_h, out_w)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
         x_shape, cols = self._cache
@@ -223,6 +232,8 @@ class Conv2d(Layer):
             self.weight.value.shape
         )
         self.bias.grad += grad_mat.sum(axis=(0, 2))
+        if not input_grad:
+            return None
 
         grad_cols = np.einsum("ok,bop->bkp", w_mat, grad_mat)
         workspace = self._workspace if hotpath_enabled() else None
@@ -237,7 +248,18 @@ class Conv2d(Layer):
 
 
 class MaxPool2d(Layer):
-    """Non-overlapping square max pooling (stride defaults to kernel size)."""
+    """Non-overlapping square max pooling (stride defaults to kernel size).
+
+    The forward pass takes the max over the ``k*k`` strided slices
+    ``x[:, :, i::k, j::k]`` in row-major window order, replacing the
+    running max only where a later value is strictly greater, so each
+    window keeps its *first* maximum — the tie rule of ``argmax`` over
+    the flattened window, signed zeros included (``np.maximum`` may
+    return either zero).  The backward pass routes each output gradient
+    to that first maximum and zero elsewhere.  Inputs are finite by
+    contract (``check_finite`` rejects NaN upstream); a NaN window has
+    no defined maximum here.
+    """
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
         if kernel_size <= 0:
@@ -253,35 +275,35 @@ class MaxPool2d(Layer):
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"MaxPool2d expects (B, C, H, W), got {x.shape}")
-        batch, channels, height, width = x.shape
         k = self.kernel_size
-        out_h = conv_output_size(height, k, k, 0)
-        out_w = conv_output_size(width, k, k, 0)
-        trimmed = x[:, :, : out_h * k, : out_w * k]
-        windows = trimmed.reshape(batch, channels, out_h, k, out_w, k)
-        windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(
-            batch, channels, out_h, out_w, k * k
-        )
-        arg = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+        rows = conv_output_size(x.shape[2], k, k, 0) * k
+        cols = conv_output_size(x.shape[3], k, k, 0) * k
+        out = x[:, :, 0:rows:k, 0:cols:k].copy()
+        for index in range(1, k * k):
+            i, j = divmod(index, k)
+            values = x[:, :, i:rows:k, j:cols:k]
+            np.copyto(out, values, where=values > out)
         if training:
-            self._cache = (x.shape, arg, out_h, out_w)
+            self._cache = (x, out)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
-        x_shape, arg, out_h, out_w = self._cache
-        batch, channels, height, width = x_shape
+        x, out = self._cache
         k = self.kernel_size
-        grad_windows = np.zeros(
-            (batch, channels, out_h, out_w, k * k), dtype=grad_out.dtype
-        )
-        np.put_along_axis(grad_windows, arg[..., None], grad_out[..., None], axis=-1)
-        grad_windows = grad_windows.reshape(batch, channels, out_h, out_w, k, k)
-        grad_windows = grad_windows.transpose(0, 1, 2, 4, 3, 5).reshape(
-            batch, channels, out_h * k, out_w * k
-        )
-        grad_in = np.zeros(x_shape, dtype=grad_out.dtype)
-        grad_in[:, :, : out_h * k, : out_w * k] = grad_windows
+        rows, cols = out.shape[2] * k, out.shape[3] * k
+        grad_in = np.zeros(x.shape, dtype=grad_out.dtype)
+        # For finite inputs the first window value equal to the max is
+        # the first maximum; `free` marks windows not yet routed.
+        free = None
+        for index in range(k * k):
+            i, j = divmod(index, k)
+            hit = x[:, :, i:rows:k, j:cols:k] == out
+            if free is None:
+                free = ~hit
+            else:
+                hit &= free
+                free ^= hit
+            np.copyto(grad_in[:, :, i:rows:k, j:cols:k], grad_out, where=hit)
         return grad_in

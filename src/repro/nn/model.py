@@ -30,7 +30,7 @@ table.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +57,15 @@ class Model:
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Accumulate parameter gradients; return the input gradient.
+
+        ``input_grad=False`` may stop the walk once every parameter
+        gradient is accumulated and return ``None`` —
+        :meth:`loss_and_grad` never reads the input gradient.
+        """
         raise NotImplementedError
 
     # ---- canonical flat storage -----------------------------------------
@@ -208,7 +216,7 @@ class Model:
         grad.fill(0.0)
         logits = self.forward(x, training=True)
         loss = loss_fn.forward(logits, y)
-        self.backward(loss_fn.backward())
+        self.backward(loss_fn.backward(), input_grad=False)
         if sgd_lr is not None:
             # w^{t,τ+1} = w^{t,τ} − γ g — same elementwise arithmetic as
             # the reference path's standalone `flat -= lr * grad`.
@@ -228,6 +236,14 @@ class Model:
         if not outputs:
             return np.zeros(0, dtype=int)
         return np.concatenate(outputs)
+
+
+def first_trainable(layers: Sequence) -> Optional[int]:
+    """Index of the first layer with parameters (``None`` if none has)."""
+    for index, layer in enumerate(layers):
+        if layer.parameters():
+            return index
+    return None
 
 
 class Sequential(Model):
@@ -250,11 +266,28 @@ class Sequential(Model):
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Walk the layers in reverse; see :meth:`Model.backward`.
+
+        With ``input_grad=False`` the walk ends at the first layer with
+        parameters: it accumulates its parameter gradients and skips its
+        input gradient (for a conv layer 0, a ``grad_cols`` einsum plus
+        a col2im over the raw image), and the layers before it are not
+        visited at all.  Parameter gradients are the same either way.
+        """
         grad = grad_out
-        for layer in reversed(self.layers):
+        if input_grad:
+            for layer in reversed(self.layers):
+                grad = layer.backward(grad)
+            return grad
+        first = first_trainable(self.layers)
+        if first is None:
+            return None
+        for layer in reversed(self.layers[first + 1 :]):
             grad = layer.backward(grad)
-        return grad
+        return self.layers[first].backward(grad, input_grad=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(type(layer).__name__ for layer in self.layers)

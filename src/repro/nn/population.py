@@ -6,10 +6,16 @@ vector, so a *population* of D device replicas is naturally one
 This module executes the Eq. (4) local-SGD loop for all of an edge
 round's sampled devices at once over that matrix:
 
-- forward/backward run as stacked 3-D ``np.matmul`` calls —
+- Dense forward/backward run as stacked 3-D ``np.matmul`` calls —
   ``(D, B, F) @ (D, F, H)`` — whose per-slice operands are the *same*
   C-contiguous 2-D arrays the per-device loop feeds BLAS, so every
   device's slice reproduces its per-device result bit for bit;
+- Conv2d runs ``im2col``/``col2im`` once over all D·B images and the
+  reference einsums with a leading ``d``; MaxPool2d runs the layer
+  itself over the D·B images;
+- the walk back ends at the first layer with parameters, which skips
+  its input gradient, as ``Sequential.backward(input_grad=False)``
+  does;
 - the fused SGD step collapses to one ``flat -= lr * grad`` over the
   whole ``(D, P)`` matrix;
 - per-layer parameter tensors are zero-copy strided views into the
@@ -39,8 +45,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.nn.layers import Dense, Flatten, ReLU
-from repro.nn.model import Model, Sequential
+from repro.nn.functional import ConvWorkspace, col2im, im2col
+from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU
+from repro.nn.model import Model, Sequential, first_trainable
 
 _population_batching_enabled = True
 
@@ -67,18 +74,21 @@ def population_batching_disabled():
         set_population_batching(previous)
 
 
-def supports_population_batch(model: Model) -> bool:
-    """Whether ``model`` is a pure Dense/ReLU/Flatten stack.
+#: Layer types with a stacked twin below.
+_STACKABLE = (Dense, Conv2d, ReLU, MaxPool2d, Flatten)
 
-    Convolutional and stochastic (Dropout) layers fall back to the
-    per-device loop: conv workspaces are per-model scratch state and
-    dropout draws from a per-layer stream that stacking would reorder.
+
+def supports_population_batch(model: Model) -> bool:
+    """Whether ``model`` is a Sequential of Dense/Conv2d/ReLU/MaxPool2d/
+    Flatten layers — the MLPs and both of the paper's CNNs.
+
+    Anything else falls back to the per-device loop; Dropout in
+    particular draws from a per-layer stream that stacking would
+    reorder.
     """
     if not isinstance(model, Sequential):
         return False
-    return all(
-        type(layer) in (Dense, ReLU, Flatten) for layer in model.layers
-    )
+    return all(type(layer) in _STACKABLE for layer in model.layers)
 
 
 class _PopDense:
@@ -103,7 +113,9 @@ class _PopDense:
         # Per slice: x_d @ W_d + b_d — the reference Dense forward.
         return np.matmul(x, self.w) + self.b[:, None, :]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         x = self._x
         # Per slice: W_d.grad += x_d.T @ g_d (same transposed dgemm the
         # 2-D reference issues), b_d.grad += g_d.sum(axis=0) (axis-1 of
@@ -111,7 +123,90 @@ class _PopDense:
         # slice).
         self.gw += np.matmul(x.transpose(0, 2, 1), grad_out)
         self.gb += grad_out.sum(axis=1)
+        if not input_grad:
+            return None
         return np.matmul(grad_out, self.w.transpose(0, 2, 1))
+
+
+class _PopConv2d:
+    """Stacked twin of :class:`repro.nn.layers.Conv2d` on (D, B, C, H, W).
+
+    The D·B images go through one :func:`im2col` / :func:`col2im` call
+    (a reshape to (D·B, C, H, W)), and the three contractions add a
+    leading ``d`` to the reference einsum subscripts.  Stacked einsum
+    reproduces the per-device einsum bit for bit (``matmul`` would not
+    match einsum, so the reference's einsum is kept); the bias gradient
+    ``sum(axis=(1, 3))`` reduces each slice like the reference's
+    ``sum(axis=(0, 2))``.  ``workspace`` outlives the round: the
+    :class:`PopulationModel` keeps one per conv layer.
+    """
+
+    def __init__(
+        self,
+        conv: Conv2d,
+        w: np.ndarray,
+        b: np.ndarray,
+        gw: np.ndarray,
+        gb: np.ndarray,
+        workspace: ConvWorkspace,
+    ) -> None:
+        self.geometry = (conv.kernel_size, conv.stride, conv.padding)
+        # (D, O, C, k, k) → (D, O, C·k·k): the inner block is
+        # contiguous, so this stays a view into the population matrix.
+        self.w = w.reshape(w.shape[0], w.shape[1], -1)
+        self.b = b
+        self.gw = gw
+        self.gb = gb
+        self.workspace = workspace
+        self._cache = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        pop, batch = x.shape[:2]
+        images = x.reshape((pop * batch,) + x.shape[2:])
+        cols, out_h, out_w = im2col(
+            images, *self.geometry, workspace=self.workspace
+        )
+        cols = cols.reshape(pop, batch, cols.shape[1], cols.shape[2])
+        out = np.einsum("dok,dbkp->dbop", self.w, cols)
+        out += self.b[:, None, :, None]
+        self._cache = (images.shape, cols)
+        return out.reshape(pop, batch, -1, out_h, out_w)
+
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        images_shape, cols = self._cache
+        pop, batch, channels = grad_out.shape[:3]
+        grad_mat = grad_out.reshape(pop, batch, channels, -1)
+        self.gw += np.einsum("dbop,dbkp->dok", grad_mat, cols).reshape(
+            self.gw.shape
+        )
+        self.gb += grad_mat.sum(axis=(1, 3))
+        if not input_grad:
+            return None
+        grad_cols = np.einsum("dok,dbop->dbkp", self.w, grad_mat)
+        grad_in = col2im(
+            grad_cols.reshape((pop * batch,) + grad_cols.shape[2:]),
+            images_shape,
+            *self.geometry,
+            workspace=self.workspace,
+        )
+        return grad_in.reshape((pop, batch) + images_shape[1:])
+
+
+class _PopMaxPool2d:
+    """Stacked twin of MaxPool2d: the layer itself over (D·B, C, H, W)."""
+
+    def __init__(self, pool: MaxPool2d) -> None:
+        self.pool = MaxPool2d(pool.kernel_size, pool.stride)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out = self.pool.forward(x.reshape((-1,) + x.shape[2:]))
+        return out.reshape(x.shape[:2] + out.shape[1:])
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        grad = self.pool.backward(grad_out.reshape((-1,) + grad_out.shape[2:]))
+        return grad.reshape(grad_out.shape[:2] + grad.shape[1:])
 
 
 class _PopReLU:
@@ -176,11 +271,12 @@ class _PopSoftmaxCrossEntropy:
 
 
 class PopulationModel:
-    """D stacked replicas of one Dense/ReLU/Flatten model.
+    """D stacked replicas of one :func:`supports_population_batch` model.
 
     Owns two ``(capacity, P)`` matrices (values and grads) whose rows
     are per-device flat vectors in the template model's canonical
-    parameter order, growing geometrically as rounds need more rows.
+    parameter order, growing geometrically as rounds need more rows,
+    and one :class:`ConvWorkspace` per conv layer for its lifetime.
     :meth:`local_updates` runs the full fused Eq. (4) loop for the
     leading ``D`` rows.
     """
@@ -188,13 +284,14 @@ class PopulationModel:
     def __init__(self, template: Model, capacity: int = 0) -> None:
         if not supports_population_batch(template):
             raise ValueError(
-                "population batching supports Sequential Dense/ReLU/Flatten "
-                f"models only, got {type(template).__name__}"
+                "population batching supports Sequential "
+                "Dense/Conv2d/ReLU/MaxPool2d/Flatten models only, "
+                f"got {type(template).__name__}"
             )
         # One parameter walk pins the canonical flat layout; the
         # template's own buffers are never touched.
         params = template.parameters()
-        self._layout = []  # (layer kind, [(offset, shape), ...])
+        self._layout = []  # (template layer, [(offset, shape), ...])
         offset = 0
         cursor = 0
         for layer in template.layers:
@@ -206,7 +303,14 @@ class PopulationModel:
                 spans.append((offset, p.shape))
                 offset += p.size
                 cursor += 1
-            self._layout.append((type(layer), spans))
+            self._layout.append((layer, spans))
+        # The backward walk ends at this layer's parameter gradients,
+        # exactly like Sequential.backward(input_grad=False).
+        self._first = first_trainable(template.layers)
+        self._workspaces = [
+            ConvWorkspace() if type(layer) is Conv2d else None
+            for layer in template.layers
+        ]
         self.num_parameters = offset
         self.capacity = 0
         self.flat = np.empty((0, self.num_parameters))
@@ -230,18 +334,11 @@ class PopulationModel:
 
         Each device's block is contiguous within its row, so the view
         is the block's C-order strides with the row stride prepended —
-        no copy, and slice ``d`` is exactly the 2-D array the reference
+        no copy, and slice ``d`` is exactly the array the reference
         layer owns.
         """
-        itemsize = base.itemsize
-        strides = [base.strides[0]]
-        span = itemsize
-        for dim in reversed(shape):
-            strides.insert(1, span * 1)
-            span *= dim
-        # Rebuild C-order strides for the block itself.
         block_strides = []
-        running = itemsize
+        running = base.itemsize
         for dim in reversed(shape):
             block_strides.insert(0, running)
             running *= dim
@@ -253,17 +350,20 @@ class PopulationModel:
 
     def _build_layers(self, population: int) -> List[object]:
         layers: List[object] = []
-        for kind, spans in self._layout:
-            if kind is Dense:
-                (w_off, w_shape), (b_off, b_shape) = spans
-                layers.append(
-                    _PopDense(
-                        self._view(self.flat, population, w_off, w_shape),
-                        self._view(self.flat, population, b_off, b_shape),
-                        self._view(self.grad, population, w_off, w_shape),
-                        self._view(self.grad, population, b_off, b_shape),
-                    )
-                )
+        for (layer, spans), workspace in zip(self._layout, self._workspaces):
+            kind = type(layer)
+            if kind in (Dense, Conv2d):
+                views = [
+                    self._view(base, population, off, shape)
+                    for base in (self.flat, self.grad)
+                    for off, shape in spans
+                ]
+                if kind is Dense:
+                    layers.append(_PopDense(*views))
+                else:
+                    layers.append(_PopConv2d(layer, *views, workspace))
+            elif kind is MaxPool2d:
+                layers.append(_PopMaxPool2d(layer))
             elif kind is ReLU:
                 layers.append(_PopReLU())
             else:
@@ -290,6 +390,7 @@ class PopulationModel:
         grad = self.grad[:population]
         flat[...] = start_model[None, :]
         layers = self._build_layers(population)
+        first = self._first
         loss_fn = _PopSoftmaxCrossEntropy()
         losses = np.empty((population, epochs))
         grad_sq = np.empty((population, epochs))
@@ -300,8 +401,10 @@ class PopulationModel:
                 out = layer.forward(out)
             losses[:, tau] = loss_fn.forward(out, ys[tau])
             g = loss_fn.backward()
-            for layer in reversed(layers):
-                g = layer.backward(g)
+            if first is not None:
+                for layer in reversed(layers[first + 1 :]):
+                    g = layer.backward(g)
+                layers[first].backward(g, input_grad=False)
             # w^{t,τ+1} = w^{t,τ} − γ g for every device at once.
             flat -= learning_rate * grad
             for d in range(population):

@@ -153,7 +153,8 @@ class WorkerContext:
     def _batchable(self, items: Tuple[LocalUpdateItem, ...]) -> bool:
         """Whether ``items`` can run as one stacked population pass.
 
-        Requires the optimized engine, a Dense/ReLU/Flatten model, and a
+        Requires the optimized engine, a model
+        :func:`supports_population_batch` accepts, and a
         homogeneous batch: identical hyper-parameters, one effective
         minibatch size (``min(batch_size, |D_m|)``), and one feature
         shape across all devices.  Heterogeneous rounds fall back to the

@@ -16,7 +16,11 @@ from here — the facade is the stability contract.
 """
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.coordinator import Coordinator, UnknownRunError
+from repro.service.coordinator import (
+    Coordinator,
+    QueueFullError,
+    UnknownRunError,
+)
 from repro.service.http import API_VERSION, CoordinatorServer, serve
 from repro.service.types import (
     RUN_STATES,
@@ -30,6 +34,7 @@ __all__ = [
     "API_VERSION",
     "Coordinator",
     "CoordinatorServer",
+    "QueueFullError",
     "RoundStatus",
     "RunResultSummary",
     "RunStatus",

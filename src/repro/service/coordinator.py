@@ -56,9 +56,17 @@ from repro.service.types import (
 #: service writes when it has a ``state_dir`` to write into.
 DEFAULT_CHECKPOINT_EVERY = 5
 
+#: Most runs :meth:`Coordinator.submit` lets wait in the queue at once;
+#: a submission beyond it raises :class:`QueueFullError` (HTTP 429).
+MAX_QUEUED_RUNS = 64
+
 
 class UnknownRunError(KeyError):
     """No run with the requested id exists in this coordinator."""
+
+
+class QueueFullError(RuntimeError):
+    """:data:`MAX_QUEUED_RUNS` runs are already waiting to execute."""
 
 
 @dataclass
@@ -163,12 +171,17 @@ class Coordinator:
         preset: Optional[str] = None,
         run_id: Optional[str] = None,
         _resume_from: Optional[TrainerCheckpoint] = None,
+        _recovered: bool = False,
     ) -> str:
         """Register a scenario for execution; returns its ``run_id``.
 
         Runs execute sequentially in submission order on the dispatcher
         thread — the determinism-first scheduling policy (every run owns
-        the full machine, exactly like the synchronous CLI).
+        the full machine, exactly like the synchronous CLI).  With
+        :data:`MAX_QUEUED_RUNS` runs already queued, raises
+        :class:`QueueFullError` and registers nothing; runs that
+        :meth:`recover` resubmits are exempt, as they were accepted
+        before the crash.
         """
         if sampler not in SAMPLER_NAMES:
             raise ValueError(
@@ -181,6 +194,12 @@ class Coordinator:
         with self._lock:
             if self._closed:
                 raise RuntimeError("coordinator is shut down")
+            queued = sum(r.state == "queued" for r in self._runs.values())
+            if not _recovered and queued >= MAX_QUEUED_RUNS:
+                raise QueueFullError(
+                    f"{queued} runs are already queued (the limit is "
+                    f"{MAX_QUEUED_RUNS}); retry once some have started"
+                )
             if run_id is None:
                 run_id = f"run-{self._next_id:04d}"
                 self._next_id += 1
@@ -388,6 +407,7 @@ class Coordinator:
                 preset=manifest.get("preset"),
                 run_id=manifest["run_id"],
                 _resume_from=checkpoint,
+                _recovered=True,
             )
             recovered.append(manifest["run_id"])
         return recovered

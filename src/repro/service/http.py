@@ -12,7 +12,8 @@ Endpoints (all JSON unless noted):
 - ``POST /v1/runs`` — submit ``{"preset": ...}`` or ``{"scenario":
   {...}}`` plus optional ``overrides``/``sampler``/``seed``/
   ``stop_at_target``; returns ``{"run_id": ..., "api_version": ...}``.
-  A body longer than :data:`MAX_BODY_BYTES` is refused with 413.
+  A body longer than :data:`MAX_BODY_BYTES` is refused with 413, and a
+  submission while ``MAX_QUEUED_RUNS`` runs wait in the queue with 429.
 - ``GET /v1/runs`` — list run statuses.
 - ``GET /v1/runs/<id>`` — one run's status.
 - ``GET /v1/runs/<id>/rounds[?follow=1]`` — round metrics as JSONL
@@ -33,7 +34,11 @@ from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.experiments.config import ScenarioConfig, resolve_scenario
-from repro.service.coordinator import Coordinator, UnknownRunError
+from repro.service.coordinator import (
+    Coordinator,
+    QueueFullError,
+    UnknownRunError,
+)
 
 #: Version tag of the service/facade surface; served from /v1/version
 #: and echoed by submissions so clients can assert compatibility.
@@ -204,6 +209,8 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             self._error(404, f"unknown run: {error.args[0]}")
         except BodyTooLargeError as error:
             self._error(413, str(error))
+        except QueueFullError as error:
+            self._error(429, str(error))
         except (ValueError, RuntimeError) as error:
             self._error(400, str(error))
 

@@ -10,15 +10,29 @@ the checked path.  It runs under fedavg, the scenario default, and
 under the Eq. (5) ``"delta"`` aggregation, whose inverse-probability
 weights fedavg never reads.
 
-blobs data does not depend on ``PYTHONHASHSEED``.  The floating-point
-result does depend on numpy, so the goldens skip under any other numpy
-version than the one they were recorded with; the CI test job pins that
-version on its Python 3.11 leg, and its Python 3.9 leg skips them.
+A third scenario pins the paper's 2-conv CNN (``mnist-bench``) with
+participation high enough that edge rounds stack several devices, on
+the serial and process executors.  Its literals were recorded before
+the CNN presets moved onto the population-batched path, so they pin
+that path against the per-device loop across commits.
+
+blobs data does not depend on ``PYTHONHASHSEED``; image data does (the
+synthetic class prototypes are seeded through ``hash``), so the CNN
+cell runs in a subprocess with ``PYTHONHASHSEED=0``.  The
+floating-point result depends on numpy, so the goldens skip under any
+other numpy version than the one they were recorded with; the CI test
+job pins that version on its Python 3.11 leg, and its Python 3.9 leg
+skips them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,3 +207,46 @@ def test_faults_churn_staleness_telemetry_match_golden(aggregation, golden):
         result.devices_joined,
         result.devices_left,
     ) == golden["open_world"]
+
+
+#: Runs the CNN cell on the executor named in argv[1] and prints the
+#: final cloud SHA-256 and participation counts as JSON.
+CNN_CELL = """
+import hashlib, json, sys
+import numpy as np
+from repro.experiments.config import PRESETS
+from repro.experiments.runner import run_single
+config = PRESETS["mnist-bench"].with_overrides(
+    num_devices=16, num_edges=2, num_steps=10, samples_per_device=30,
+    test_samples=60, local_epochs=2, participation_fraction=0.8,
+    trace_kind="markov", executor=sys.argv[1],
+    num_workers=2 if sys.argv[1] != "serial" else None,
+)
+result = run_single(config, "mach")
+print(json.dumps({
+    "sha256": hashlib.sha256(
+        np.ascontiguousarray(result.final_cloud_model).tobytes()
+    ).hexdigest(),
+    "participation_counts": result.participation_counts.tolist(),
+}))
+"""
+
+CNN_GOLDEN = {
+    "sha256": "e43e17f797553d6069cfaecddfc9232835e04e84454840b5761b54195552efd8",
+    "participation_counts": [5, 7, 8, 7, 10, 10, 9, 10, 6, 9, 10, 5, 9, 7, 8, 10],
+}
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_mnist_bench_cnn_matches_golden(executor):
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED="0",
+        PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"),
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", CNN_CELL, executor],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout.splitlines()[-1]) == CNN_GOLDEN

@@ -223,3 +223,106 @@ class TestMaxPool2d:
     def test_rejects_overlapping_stride(self):
         with pytest.raises(NotImplementedError):
             MaxPool2d(3, stride=1)
+
+
+def argmax_maxpool_forward(x, k):
+    """The transpose/argmax/take_along_axis pooling MaxPool2d replaced,
+    kept here as the tie-rule oracle: the first maximum of each window
+    in row-major order wins."""
+    batch, channels, height, width = x.shape
+    out_h, out_w = height // k, width // k
+    windows = x[:, :, : out_h * k, : out_w * k].reshape(
+        batch, channels, out_h, k, out_w, k
+    )
+    windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(
+        batch, channels, out_h, out_w, k * k
+    )
+    arg = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    return out, arg
+
+
+def argmax_maxpool_backward(grad_out, x_shape, arg, k):
+    batch, channels, _height, _width = x_shape
+    out_h, out_w = arg.shape[2:]
+    grad_windows = np.zeros(
+        (batch, channels, out_h, out_w, k * k), dtype=grad_out.dtype
+    )
+    np.put_along_axis(grad_windows, arg[..., None], grad_out[..., None], axis=-1)
+    grad_windows = grad_windows.reshape(batch, channels, out_h, out_w, k, k)
+    grad_windows = grad_windows.transpose(0, 1, 2, 4, 3, 5).reshape(
+        batch, channels, out_h * k, out_w * k
+    )
+    grad_in = np.zeros(x_shape, dtype=grad_out.dtype)
+    grad_in[:, :, : out_h * k, : out_w * k] = grad_windows
+    return grad_in
+
+
+def same_bits(a, b):
+    """Bitwise equality: tells -0.0 from 0.0, unlike assert_array_equal."""
+    return a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+class TestMaxPool2dTieContract:
+    """The strided MaxPool2d against the argmax oracle above, bit for bit.
+
+    Inputs are heavy with what makes ties: ReLU zeros, small integers,
+    and signed zeros (``np.maximum`` may pick either zero; the strided
+    pool must keep the first, as argmax does).  Sizes include odd ones
+    whose trailing rows/columns the pool drops.  NaN windows are out of
+    contract — ``check_finite`` rejects non-finite values upstream — so
+    no input here holds one.
+    """
+
+    @staticmethod
+    def tie_heavy(rng, shape):
+        kind = rng.integers(4)
+        if kind == 0:  # ReLU output: about half exact zeros
+            return np.maximum(rng.normal(size=shape), 0.0)
+        if kind == 1:  # small integers: many exact ties
+            return rng.integers(-2, 3, size=shape).astype(float)
+        if kind == 2:  # signed zeros only
+            return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        # a mix of signed zeros, integers and normals
+        return rng.choice(
+            np.array([-0.0, 0.0, 1.0, -1.0, 0.5]), size=shape
+        ) * np.where(rng.random(shape) < 0.9, 1.0, rng.normal(size=shape))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_argmax_oracle(self, k):
+        rng = np.random.default_rng(2024 + k)
+        for _ in range(150):
+            shape = (
+                int(rng.integers(1, 4)),
+                int(rng.integers(1, 4)),
+                int(rng.integers(k, 3 * k + 2)),
+                int(rng.integers(k, 3 * k + 2)),
+            )
+            x = self.tie_heavy(rng, shape)
+            layer = MaxPool2d(k)
+            out = layer.forward(x, training=True)
+            ref_out, arg = argmax_maxpool_forward(x, k)
+            assert same_bits(out, ref_out)
+            grad_out = self.tie_heavy(rng, out.shape) + rng.normal(size=out.shape)
+            grad_out[rng.random(out.shape) < 0.3] = -0.0
+            assert same_bits(
+                layer.backward(grad_out),
+                argmax_maxpool_backward(grad_out, x.shape, arg, k),
+            )
+
+    def test_signed_zero_first_wins(self):
+        layer = MaxPool2d(2)
+        x = np.array([[[[-0.0, 0.0], [0.0, -0.0]]]])
+        out = layer.forward(x, training=True)
+        assert np.signbit(out[0, 0, 0, 0])  # -0.0 came first
+        grad = layer.backward(np.ones((1, 1, 1, 1)))
+        np.testing.assert_array_equal(grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+    def test_inference_forward_matches_training_forward(self, rng):
+        x = np.maximum(rng.normal(size=(2, 3, 7, 9)), 0.0)
+        assert same_bits(
+            MaxPool2d(3).forward(x, training=False),
+            MaxPool2d(3).forward(x, training=True),
+        )

@@ -1,10 +1,12 @@
 """Population-batched local updates: bit-identity with the per-device
-reference twin, support predicate, buffer reuse and the engine switch."""
+reference twin (MLPs and the paper CNNs), support predicate, buffer
+reuse, the layer-0 gradient rule and the engine switch."""
 
 import numpy as np
 import pytest
 
 from repro.data.synthetic import make_blobs_dataset
+from repro.nn.architectures import build_model
 from repro.nn.layers import Conv2d, Dense, Dropout, Flatten, ReLU
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
@@ -50,15 +52,21 @@ class TestSupportsPredicate:
     def test_dense_relu_flatten_supported(self, rng):
         assert supports_population_batch(make_mlp(rng))
 
-    def test_dropout_and_conv_fall_back(self, rng):
+    def test_dropout_falls_back(self, rng):
         with_dropout = Sequential(
             [Dense(4, 4, rng=rng), Dropout(0.5), Dense(4, 2, rng=rng)]
         )
         assert not supports_population_batch(with_dropout)
+
+    def test_conv_and_pool_stacks_supported(self, rng):
         with_conv = Sequential(
             [Conv2d(1, 2, 3, rng=rng), Flatten(), Dense(8, 2, rng=rng)]
         )
-        assert not supports_population_batch(with_conv)
+        assert supports_population_batch(with_conv)
+        for task, shape in (("mnist", (1, 8, 8)), ("cifar10", (3, 8, 8))):
+            assert supports_population_batch(
+                build_model(task, shape, scale="tiny", rng=rng)
+            )
 
     def test_population_model_rejects_unsupported(self, rng):
         model = Sequential([Dense(4, 4, rng=rng), Dropout(0.5)])
@@ -114,6 +122,90 @@ class TestBitIdentity:
         model = make_mlp(rng)
         pop = PopulationModel(model)
         assert pop.num_parameters == model.flat_copy().size
+
+
+class TestCNNBitIdentity:
+    """The paper's 2-conv and 3-conv CNNs on the stacked Conv2d/MaxPool2d
+    twins reproduce the per-device loop bit for bit."""
+
+    @staticmethod
+    def batches(rng, shape, epochs, pop, batch=4):
+        xs = rng.normal(size=(epochs, pop, batch) + shape)
+        ys = rng.integers(0, 10, size=(epochs, pop, batch))
+        return xs, ys
+
+    @pytest.mark.parametrize("scale", ["tiny", "small", "paper"])
+    @pytest.mark.parametrize(
+        "task, shape", [("mnist", (1, 12, 12)), ("cifar10", (3, 16, 16))]
+    )
+    def test_stacked_cnn_matches_per_device(self, rng, task, shape, scale):
+        model = build_model(task, shape, scale=scale, rng=rng)
+        start = model.flat_copy()
+        xs, ys = self.batches(rng, shape, epochs=3, pop=4)
+        reference = reference_updates(model, start, xs, ys, 0.05)
+        stacked = PopulationModel(model).local_updates(start, xs, ys, 0.05)
+        for got, want in zip(stacked, reference):
+            np.testing.assert_array_equal(got, want)
+
+    def test_workspace_reuse_across_population_sizes(self, rng):
+        """Rounds of different D share one PopulationModel, whose conv
+        workspaces persist across rounds and must not leak values from
+        one round into the next."""
+        shape = (3, 8, 8)
+        model = build_model("cifar10", shape, scale="tiny", rng=rng)
+        start = model.flat_copy()
+        pop = PopulationModel(model)
+        workspaces = [w for w in pop._workspaces if w is not None]
+        assert len(workspaces) == 3
+        for size in (5, 2, 5, 3):
+            xs, ys = self.batches(rng, shape, epochs=2, pop=size)
+            reference = reference_updates(model, start, xs, ys, 0.05)
+            stacked = pop.local_updates(start, xs, ys, 0.05)
+            for got, want in zip(stacked, reference):
+                np.testing.assert_array_equal(got, want)
+            if size == 5:
+                sizes = [
+                    {k: b.shape for k, b in w._buffers.items()}
+                    for w in workspaces
+                ]
+        assert [w for w in pop._workspaces if w is not None] == workspaces
+        # Smaller rounds reused prefixes of the D=5 buffers.
+        assert [
+            {k: b.shape for k, b in w._buffers.items()} for w in workspaces
+        ] == sizes
+
+
+class TestLayerZeroGradient:
+    """loss_and_grad stops the backward walk at the first layer with
+    parameters and skips its input gradient; parameter gradients must
+    equal those of a full backward."""
+
+    @pytest.mark.parametrize(
+        "task, shape",
+        [("mnist", (1, 12, 12)), ("cifar10", (3, 16, 16)), ("mlp", (16,))],
+    )
+    def test_parameter_gradients_equal_full_backward(self, rng, task, shape):
+        if task == "mlp":  # Flatten first: the walk stops at layer 1
+            model = make_mlp(rng)
+        else:
+            model = build_model(task, shape, scale="small", rng=rng)
+        x = rng.normal(size=(6,) + shape)
+        y = rng.integers(0, 10, size=6)
+        _loss, grad = model.loss_and_grad(x, y)
+
+        model.zero_grad()
+        loss_fn = SoftmaxCrossEntropy()
+        loss_fn.forward(model.forward(x, training=True), y)
+        input_grad = model.backward(loss_fn.backward())
+        assert input_grad.shape == x.shape
+        np.testing.assert_array_equal(grad, model.get_flat_grad())
+
+    def test_skipped_input_gradient_returns_none(self, rng):
+        model = make_mlp(rng)
+        x = rng.normal(size=(4, 16))
+        loss_fn = SoftmaxCrossEntropy()
+        loss_fn.forward(model.forward(x, training=True), np.arange(4))
+        assert model.backward(loss_fn.backward(), input_grad=False) is None
 
 
 class TestSwitch:

@@ -86,6 +86,17 @@ class TestIm2colWorkspace:
             reused, _, _ = im2col(x, 3, 1, 1, workspace=workspace)
             np.testing.assert_array_equal(fresh, reused)
 
+    def test_smaller_batch_reuses_prefix_and_larger_grows(self):
+        workspace = ConvWorkspace()
+        full = workspace.get("cols", (4, 3, 5), np.dtype(float))
+        tail = workspace.get("cols", (2, 3, 5), np.dtype(float))
+        assert tail.shape == (2, 3, 5) and tail.flags.c_contiguous
+        assert np.shares_memory(tail, full)
+        grown = workspace.get("cols", (6, 3, 5), np.dtype(float))
+        assert grown.shape == (6, 3, 5)
+        assert not np.shares_memory(grown, full)
+        assert len(workspace._buffers) == 1
+
     def test_deepcopy_and_pickle_reset_to_empty(self):
         workspace = ConvWorkspace()
         workspace.get("pad", (2, 2), np.dtype(float))

@@ -1,11 +1,15 @@
-"""City-scale engine parity: population-batched updates bit-identical
-to the per-device reference twin on all three executors and under
-kill/resume; top-k MACH and adaptive evaluation semantics."""
+"""City-scale engine parity: population-batched updates (MLP and the
+paper CNN) bit-identical to the per-device reference twin on all three
+executors and under kill/resume; top-k MACH and adaptive evaluation
+semantics."""
 
 import numpy as np
 import pytest
 
 from repro.core.mach import MACHConfig, MACHSampler
+from repro.experiments.config import PRESETS
+from repro.experiments.runner import run_single
+from repro.hfl.telemetry import TelemetryRecorder
 from repro.hfl.device import Device
 from repro.runtime import EXECUTOR_KINDS
 from repro.runtime.work_items import LocalUpdateItem, WorkerContext
@@ -72,6 +76,62 @@ class TestBatchedExecutorParity:
         )
         assert resumed.history.accuracy == straight.history.accuracy
         assert resumed.history.loss == straight.history.loss
+
+
+#: A small mnist-bench (paper 2-conv CNN) scenario whose edge rounds
+#: stack several devices.
+CNN_SCENARIO = dict(
+    num_devices=12, num_edges=2, num_steps=10, samples_per_device=30,
+    test_samples=60, local_epochs=2, participation_fraction=0.8,
+    trace_kind="markov",
+)
+
+
+def run_cnn(executor="serial", batched=True, **overrides):
+    scenario = dict(
+        CNN_SCENARIO, executor=executor,
+        num_workers=2 if executor != "serial" else None, **overrides,
+    )
+    config = PRESETS["mnist-bench"].with_overrides(**scenario)
+    telemetry = TelemetryRecorder()
+    if batched:
+        result = run_single(config, "mach", telemetry=telemetry)
+    else:
+        with population_batching_disabled():
+            result = run_single(config, "mach", telemetry=telemetry)
+    return result, telemetry
+
+
+class TestCNNExecutorParity:
+    """The stacked Conv2d/MaxPool2d path against the per-device loop,
+    end to end on every executor and under kill/resume."""
+
+    @staticmethod
+    def assert_same(result, reference):
+        assert result.history.accuracy == reference.history.accuracy
+        assert result.history.loss == reference.history.loss
+        np.testing.assert_array_equal(
+            result.final_cloud_model, reference.final_cloud_model
+        )
+        np.testing.assert_array_equal(
+            result.participation_counts, reference.participation_counts
+        )
+
+    def test_stacked_cnn_matches_reference_on_every_executor(self):
+        reference, telemetry = run_cnn(batched=False)
+        # The cell is only meaningful if rounds really stack.
+        assert max(r.num_participants for r in telemetry.records) >= 3
+        for kind in EXECUTOR_KINDS:
+            result, _ = run_cnn(kind)
+            self.assert_same(result, reference)
+
+    def test_stacked_cnn_kill_resume_replays_exactly(self, tmp_path):
+        path = str(tmp_path / "ckpt.json")
+        straight, _ = run_cnn(checkpoint_every=5, checkpoint_path=path)
+        run_cnn(num_steps=5, checkpoint_every=5, checkpoint_path=path)
+        config = PRESETS["mnist-bench"].with_overrides(**CNN_SCENARIO)
+        resumed = run_single(config, "mach", resume_from=path)
+        self.assert_same(resumed, straight)
 
 
 class TestRunItemsFallbacks:

@@ -9,6 +9,7 @@ shortcuts into the coordinator.
 import hashlib
 import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -22,6 +23,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service import coordinator as coordinator_module
 from repro.service.http import MAX_BODY_BYTES
 
 from tests.service.conftest import tiny_scenario
@@ -193,6 +195,69 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(server.url + "/v1/nope", timeout=30)
         assert excinfo.value.code == 404
+
+
+def wait_for_state(client, run_id, state, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while client.status(run_id).state != state:
+        assert time.monotonic() < deadline, f"{run_id} never reached {state}"
+        time.sleep(0.02)
+
+
+class TestQueueBound:
+    """At MAX_QUEUED_RUNS queued runs a submission is refused with 429
+    and registers nothing; recovered runs are exempt."""
+
+    def test_full_queue_is_429_and_registers_nothing(
+        self, client, monkeypatch
+    ):
+        monkeypatch.setattr(coordinator_module, "MAX_QUEUED_RUNS", 2)
+        scenario = tiny_scenario()
+        # A paused run holds the dispatcher, so later runs stay queued.
+        blocker = client.submit(config=scenario, sampler="uniform")
+        client.pause(blocker)
+        wait_for_state(client, blocker, "paused")
+        queued = [
+            client.submit(config=scenario, sampler="uniform")
+            for _ in range(2)
+        ]
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(config=scenario, sampler="uniform")
+        assert excinfo.value.status == 429
+        assert "2 runs are already queued" in str(excinfo.value)
+        assert len(client.list_runs()) == 3
+        # A cancelled run frees its slot.
+        client.stop(queued[0])
+        queued.append(client.submit(config=scenario, sampler="uniform"))
+        client.resume_run(blocker)
+        for run_id in [blocker] + queued[1:]:
+            assert client.wait(run_id, timeout=120.0).state == "completed"
+
+    def test_recovered_runs_bypass_the_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "MAX_QUEUED_RUNS", 1)
+        state = tmp_path / "state"
+        scenario = tiny_scenario()
+        run_ids = [f"run-{n:04d}" for n in (1, 2, 3)]
+        for run_id in run_ids:
+            run_dir = state / "runs" / run_id
+            run_dir.mkdir(parents=True)
+            (run_dir / "run.json").write_text(json.dumps({
+                "run_id": run_id, "config": scenario.to_dict(),
+                "sampler": "uniform", "seed": scenario.seed,
+                "stop_at_target": False, "preset": None,
+                "state": "queued", "steps_run": 0,
+            }))
+        coordinator = Coordinator(state_dir=state)
+        server = CoordinatorServer(coordinator, host="127.0.0.1", port=0)
+        server.serve_background()
+        try:
+            assert coordinator.recover() == run_ids
+            client = ServiceClient(server.url)
+            for run_id in run_ids:
+                assert client.wait(run_id, timeout=120.0).state == "completed"
+        finally:
+            server.shutdown()
+            coordinator.shutdown()
 
 
 class TestAttach:
