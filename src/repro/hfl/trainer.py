@@ -1068,6 +1068,14 @@ class HFLTrainer:
         training semantics are byte-for-byte the synchronous loop's:
         the same state reset, the same per-step phase order, the same
         checkpoint cadence.
+
+        The checkpoint due at step k is written when the consumer
+        resumes the generator after step k's yield (or drains it), not
+        before the yield: a crash between the consumer's record of step
+        k and checkpoint k then replays step k instead of losing its
+        record.  A consumer that closes the generator right after a
+        yield skips that step's checkpoint and snapshots the trainer
+        itself if it needs one (the coordinator does on stop).
         """
         if num_steps <= 0:
             raise ValueError(f"num_steps must be positive, got {num_steps}")
@@ -1183,7 +1191,6 @@ class HFLTrainer:
                     self._reached_at = steps_run
                     if stop_at_target:
                         stop_early = True
-            self._maybe_write_checkpoint(steps_run)
             step_end = clock()
             obs.end_step(t, step_t0, step_end)
             yield StepOutcome(
@@ -1198,6 +1205,11 @@ class HFLTrainer:
                 stop=stop_early,
                 seconds=step_end - step_t0,
             )
+            # Checkpoint k is written only once the consumer asks for
+            # more, so what it records of step k (the coordinator's
+            # round-log line) is durable before checkpoint k can become
+            # the recovery point.
+            self._maybe_write_checkpoint(steps_run)
             if stop_early:
                 break
 

@@ -380,7 +380,11 @@ class PopulationModel:
         """Run the fused Eq. (4) loop for a stacked population.
 
         ``xs`` is ``(I, D, B, ...)`` and ``ys`` ``(I, D, B)`` — all I
-        pre-drawn minibatches for each of D devices.  Returns
+        pre-drawn minibatches for each of D devices.  ``start_model`` is
+        one ``(P,)`` vector every device starts from, or a ``(D, P)``
+        matrix of per-device starts (a process chunk spanning several
+        edge rounds); each slice's math never reads another row, so
+        either way a row's result depends on its own start only.  Returns
         ``(final_models (D, P), losses (D, I), grad_sq_norms (D, I))``,
         each row bit-identical to the per-device reference loop.
         """
@@ -388,7 +392,7 @@ class PopulationModel:
         self.ensure(population)
         flat = self.flat[:population]
         grad = self.grad[:population]
-        flat[...] = start_model[None, :]
+        flat[...] = start_model
         layers = self._build_layers(population)
         first = self._first
         loss_fn = _PopSoftmaxCrossEntropy()

@@ -238,7 +238,9 @@ class Profiler:
 
         Worker clocks measure wall time inside the worker; CPU time is
         not available across process boundaries, so ``cpu_seconds``
-        stays zero for this site.
+        stays zero for this site.  A process-pool chunk that spans
+        several edge rounds arrives as one ``edge=-1`` row and is
+        attributed to edge ``"-1"``.
         """
         key = ("execute", "runtime", "device_update")
         stat = self._sites.get(key)

@@ -200,7 +200,9 @@ class SpanTracer:
     def observe_worker_timings(self, timings: Iterable[Any]) -> None:
         """Synthesize ``edge_round`` → ``device_update`` spans under the
         current span from drained :class:`~repro.runtime.base.WorkerTiming`
-        rows (durations from each worker's own clock)."""
+        rows (durations from each worker's own clock).  Rows are grouped
+        by edge; a round-granular process chunk spanning several edges
+        (``edge=-1``) becomes one ``edge_round`` span with ``edge=-1``."""
         by_edge: Dict[int, list] = {}
         for wt in timings:
             by_edge.setdefault(wt.edge, []).append(wt)

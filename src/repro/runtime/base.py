@@ -12,8 +12,9 @@ backend decides how the items are scheduled:
 - :class:`~repro.runtime.threads.ThreadExecutor` — a thread pool with
   per-thread scratch models (BLAS kernels release the GIL);
 - :class:`~repro.runtime.processes.ProcessExecutor` — a process pool;
-  device datasets and the scratch model ship once per worker, edge
-  models once per round.
+  device datasets and the scratch model ship once per worker, each
+  step's items split into at most one chunk per worker across edge
+  rounds, with the chunk's edge models once per chunk.
 
 All backends produce bit-identical results for a fixed master seed
 because every work item derives its own named random stream from
@@ -39,10 +40,14 @@ class WorkerTiming(NamedTuple):
     / process (or ``"main"`` for the serial backend) that ran the unit,
     and ``seconds`` is the unit's own monotonic-clock duration measured
     where it ran.  At ``"item"`` granularity a record covers one device's
-    local-update loop; at ``"round"`` granularity it covers one edge
-    round (or one worker's chunk of it) and ``device`` is ``-1``.
-    Timings are observability, not results: they never cross into
-    aggregation, RNG streams or checkpoints.
+    local-update loop; at ``"round"`` granularity ``device`` is ``-1``
+    and a record covers one edge round (serial, thread) or one worker's
+    chunk of the step (process).  A process chunk may span several
+    edge rounds; its record then has ``edge=-1``, so consumers that
+    group by edge (the profiler's per-edge shares, the tracer's
+    ``edge_round`` spans) see it as one ``-1`` group.  Timings are
+    observability, not results: they never cross into aggregation, RNG
+    streams or checkpoints.
     """
 
     step: int
@@ -53,13 +58,17 @@ class WorkerTiming(NamedTuple):
 
 
 class WorkerError(RuntimeError):
-    """A pooled worker failed while running one edge round's items.
+    """A pooled worker failed while running local-update items.
 
-    Carries the ``(step, edge)`` coordinates of the failing plan so the
-    caller can tell *which* round died, and chains the original worker
-    exception as ``__cause__``.  Pooled backends shut down and recycle
-    their pool before raising, so the executor stays usable for the
-    next step.
+    Carries ``(step, edge)`` coordinates so the caller can tell *which*
+    round died, and chains the original worker exception as
+    ``__cause__``.  A process chunk can span several edge rounds: the
+    edge is then the failing item's where the error names one (the
+    ``work_item`` attribute :class:`~repro.runtime.work_items
+    .WorkerContext` sets when a device lookup or local update fails),
+    otherwise the chunk's first round's.  Pooled backends shut down and
+    recycle their pool before raising, so the executor stays usable for
+    the next step.
     """
 
     def __init__(self, step: int, edge: int, cause: BaseException) -> None:
@@ -158,10 +167,12 @@ class Executor(ABC):
         individually — full attribution, but it forces the backends off
         their fused/population-batched round paths, which costs real
         wall-clock.  ``granularity="round"`` times whole edge rounds
-        (one clock pair per round or per worker chunk) on top of the
-        unchanged fast path — near-zero overhead, per-edge attribution
-        only (``device=-1``).  The continuous profiler uses ``"round"``;
-        span tracing, which needs per-device spans, uses ``"item"``.
+        (one clock pair per round, or per worker chunk of the step on
+        the process pool) on top of the unchanged fast path — near-zero
+        overhead, per-edge attribution only (``device=-1``; ``edge=-1``
+        for a chunk spanning edges).  The continuous profiler uses
+        ``"round"``; span tracing, which needs per-device spans, uses
+        ``"item"``.
         Calling with ``"item"`` wins over an earlier ``"round"`` call.
         """
         if granularity not in ("item", "round"):

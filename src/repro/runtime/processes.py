@@ -5,17 +5,21 @@ Shipping discipline (what crosses the process boundary, and how often):
 - once per worker, at pool start: the :class:`WorkerContext` — scratch
   model architecture + weights and every device's dataset — via the
   pool initializer;
-- once per round chunk: the edge's flattened start model ``w^t_n`` and
-  the (tiny, scalar-only) work items;
+- once per worker chunk per step: the flattened start model ``w^t_n``
+  of each edge round the chunk touches (each once), a per-item row
+  index into them, and the (tiny, scalar-only) work items;
 - back per item: the device's flattened final model and its gradient
   statistics.
 
-A round's items are split into at most ``num_workers`` contiguous
-chunks so device-level parallelism survives even a single-edge step
-while the start model is serialized a bounded number of times per
-round.  Results are keyed by device id, so completion order never
-matters; combined with per-``(step, edge, device)`` seed streams this
-backend is bit-identical to :class:`~repro.runtime.serial.SerialExecutor`.
+A step's items, in plan order, are split into at most ``num_workers``
+contiguous chunks across edge rounds, so a step submits at most
+``num_workers`` futures and each worker runs its chunk as one stacked
+population pass (:meth:`WorkerContext.run_items`) however the
+participants spread over edges.  Results are routed back to their
+round by position and keyed by device id, so completion order never
+matters; combined with per-``(step, edge, device)`` seed streams and
+stacked slices that never read another row, this backend is
+bit-identical to :class:`~repro.runtime.serial.SerialExecutor`.
 
 The context's scratch model crosses the process boundary (pickle on
 spawn platforms, fork inheritance otherwise) *without* its flat-alias
@@ -57,53 +61,47 @@ def _init_worker(context: WorkerContext) -> None:
 
 
 def _run_chunk(
-    start_model: np.ndarray,
+    starts: Tuple[np.ndarray, ...],
     items: Tuple[LocalUpdateItem, ...],
+    rows: Tuple[int, ...],
     timed: Optional[str] = None,
-) -> Tuple[List[Tuple[int, LocalUpdateResult]], List[Tuple[int, str, float]]]:
-    """Worker-side entry: run a chunk of one round's items serially.
+) -> Tuple[List[Tuple[int, LocalUpdateResult]], List[WorkerTiming]]:
+    """Worker-side entry: run one chunk of a step's items.
 
-    ``timed`` is ``None`` (off), ``"item"`` or ``"round"``.  Returns the
-    ``(device_id, result)`` pairs plus, when timed, the
-    ``(device_id, worker_name, seconds)`` attributions measured on the
-    worker's own monotonic clock — one record per item at ``"item"``
-    granularity, a single ``device_id=-1`` record covering the whole
-    chunk (still population-batched) at ``"round"`` granularity.  The
-    untimed path ships no extra bytes.
+    Item ``i`` starts from ``starts[rows[i]]``.  ``timed`` is ``None``
+    (off), ``"item"`` or ``"round"``.  Returns the ``(device_id,
+    result)`` pairs in item order plus, when timed, the
+    :class:`WorkerTiming` records measured on the worker's own
+    monotonic clock — one per item at ``"item"`` granularity, one
+    ``device=-1`` record covering the whole (still stacked) chunk at
+    ``"round"`` granularity, whose edge is ``-1`` when the chunk spans
+    several edge rounds.  The untimed path ships no extra bytes.
     """
-    if _WORKER_CONTEXT is None:  # pragma: no cover - defensive
+    context = _WORKER_CONTEXT
+    if context is None:  # pragma: no cover - defensive
         raise RuntimeError("worker pool was not initialized with a context")
     if timed is None:
-        # Population-batched when the chunk is homogeneous (run_items
-        # falls back to the per-item loop otherwise) — each chunk is one
-        # stacked forward/backward instead of len(chunk) passes.
-        return _WORKER_CONTEXT.run_items(start_model, items), []
+        return context.run_items(starts, items, rows), []
     worker = multiprocessing.current_process().name
     clock = time.perf_counter
     if timed == "round":
         start = clock()
-        pairs = _WORKER_CONTEXT.run_items(start_model, items)
-        return pairs, [(-1, worker, clock() - start)]
+        pairs = context.run_items(starts, items, rows)
+        seconds = clock() - start
+        edges = {item.edge for item in items}
+        edge = edges.pop() if len(edges) == 1 else -1
+        return pairs, [WorkerTiming(items[0].step, edge, -1, worker, seconds)]
     pairs = []
-    timings: List[Tuple[int, str, float]] = []
-    for item in items:
+    timings: List[WorkerTiming] = []
+    for item, row in zip(items, rows):
         start = clock()
-        pairs.append((item.device_id, _WORKER_CONTEXT.run_item(start_model, item)))
-        timings.append((item.device_id, worker, clock() - start))
+        pairs.append((item.device_id, context.run_item(starts[row], item)))
+        timings.append(
+            WorkerTiming(
+                item.step, item.edge, item.device_id, worker, clock() - start
+            )
+        )
     return pairs, timings
-
-
-def _chunk(
-    items: Tuple[LocalUpdateItem, ...], num_chunks: int
-) -> List[Tuple[LocalUpdateItem, ...]]:
-    """Split ``items`` into at most ``num_chunks`` contiguous, even chunks."""
-    num_chunks = min(num_chunks, len(items))
-    if num_chunks <= 1:
-        return [items]
-    bounds = np.linspace(0, len(items), num_chunks + 1).astype(int)
-    return [
-        items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
 
 
 class ProcessExecutor(Executor):
@@ -140,39 +138,45 @@ class ProcessExecutor(Executor):
         self.context  # fail fast before touching the pool
         pool = self._ensure_pool()
         timed = self._timing_granularity if self._collect_timings else None
-        pending: List[Tuple[int, Future]] = []
-        for index, plan in enumerate(plans):
-            for chunk in _chunk(plan.items, self.num_workers):
-                if not chunk:
-                    continue
-                pending.append(
-                    (
-                        index,
-                        pool.submit(_run_chunk, plan.start_model, chunk, timed),
-                    )
-                )
+        owners = [index for index, plan in enumerate(plans) for _ in plan.items]
+        items = [item for plan in plans for item in plan.items]
+        num_chunks = min(self.num_workers, len(items))
+        bounds = [0] + [
+            len(items) * k // num_chunks for k in range(1, num_chunks + 1)
+        ]
+        pending: List[Tuple[List[int], Future]] = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            # Each round the chunk touches ships its start model once.
+            rounds: List[int] = []
+            rows: List[int] = []
+            for owner in owners[lo:hi]:
+                if not rounds or rounds[-1] != owner:
+                    rounds.append(owner)
+                rows.append(len(rounds) - 1)
+            starts = tuple(plans[index].start_model for index in rounds)
+            future = pool.submit(
+                _run_chunk, starts, tuple(items[lo:hi]), tuple(rows), timed
+            )
+            pending.append((owners[lo:hi], future))
         results: List[RoundResults] = [{} for _ in plans]
-        for index, future in pending:
+        for chunk_owners, future in pending:
             try:
-                chunk_results, chunk_timings = future.result()
+                pairs, timings = future.result()
             except Exception as exc:
                 # A worker raised (or the pool broke, orphaning every
                 # future).  Cancel what has not started, tear the pool
                 # down and recycle it so the *next* step gets a fresh
                 # pool instead of hanging on dead processes.
-                for _index, other in pending:
+                for _owners, other in pending:
                     other.cancel()
                 self._shutdown_pool()
-                plan = plans[index]
-                raise WorkerError(plan.step, plan.edge, exc) from exc
-            for device_id, result in chunk_results:
+                failed = getattr(exc, "work_item", None)
+                if failed is None:
+                    failed = plans[chunk_owners[0]]
+                raise WorkerError(failed.step, failed.edge, exc) from exc
+            for index, (device_id, result) in zip(chunk_owners, pairs):
                 results[index][device_id] = result
-            if chunk_timings:
-                plan = plans[index]
-                self._timings.extend(
-                    WorkerTiming(plan.step, plan.edge, device_id, worker, seconds)
-                    for device_id, worker, seconds in chunk_timings
-                )
+            self._timings.extend(timings)
         return results
 
     def _shutdown_pool(self) -> None:

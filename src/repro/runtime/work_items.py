@@ -3,7 +3,8 @@
 The engine's unit of parallelism is one device's local-update loop at
 one ``(time step, edge)`` round.  A :class:`LocalUpdateItem` carries
 only scalar coordinates and hyper-parameters — the edge's start model
-travels once per :class:`EdgeRoundPlan`, and the bulky immutable state
+travels once per :class:`EdgeRoundPlan` (on the process pool, once per
+worker chunk holding the round's items), and the bulky immutable state
 (scratch model architecture, device datasets) ships once per worker
 inside a :class:`WorkerContext`.
 
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,8 +53,9 @@ class EdgeRoundPlan:
     """All sampled local updates of one edge round, sharing one start model.
 
     ``start_model`` is the edge model ``w^t_n`` every item downloads —
-    kept once per plan so process backends serialize the parameter
-    vector once per round instead of once per device.
+    kept once per plan so the process backend serializes the parameter
+    vector once per worker chunk holding the round's items, not once
+    per device.
     """
 
     step: int
@@ -127,22 +131,33 @@ class WorkerContext:
         """Execute one local update with its deterministic named stream."""
         device = self._device_for(item)
         rng = self.seeds.work_item_generator(item.step, item.edge, item.device_id)
-        return device.local_update(
-            start_model,
-            self.model,
-            item.local_epochs,
-            item.learning_rate,
-            item.batch_size,
-            rng=rng,
-        )
+        try:
+            return device.local_update(
+                start_model,
+                self.model,
+                item.local_epochs,
+                item.learning_rate,
+                item.batch_size,
+                rng=rng,
+            )
+        except Exception as exc:
+            exc.work_item = item
+            raise
 
     def _device_for(self, item: LocalUpdateItem) -> Device:
-        device = self.devices[item.device_id]
-        if device.device_id != item.device_id:
-            raise ValueError(
-                f"device list is not indexed by id: slot {item.device_id} "
-                f"holds device {device.device_id}"
-            )
+        """The item's device; an error names the item as ``work_item``
+        (an exception attribute, so it survives the pickle back from a
+        pool worker)."""
+        try:
+            device = self.devices[item.device_id]
+            if device.device_id != item.device_id:
+                raise ValueError(
+                    f"device list is not indexed by id: slot {item.device_id} "
+                    f"holds device {device.device_id}"
+                )
+        except Exception as exc:
+            exc.work_item = item
+            raise
         return device
 
     def _population_model(self) -> PopulationModel:
@@ -157,8 +172,9 @@ class WorkerContext:
         :func:`supports_population_batch` accepts, and a
         homogeneous batch: identical hyper-parameters, one effective
         minibatch size (``min(batch_size, |D_m|)``), and one feature
-        shape across all devices.  Heterogeneous rounds fall back to the
-        per-device loop item by item.
+        shape across all devices.  A heterogeneous round falls back to
+        the per-device loop item by item; a heterogeneous chunk of
+        several rounds, one round at a time (:meth:`run_items`).
         """
         if len(items) < 2:
             return False
@@ -187,10 +203,20 @@ class WorkerContext:
         return True
 
     def run_items(
-        self, start_model: np.ndarray, items: Sequence[LocalUpdateItem]
+        self,
+        starts: Union[np.ndarray, Sequence[np.ndarray]],
+        items: Sequence[LocalUpdateItem],
+        rows: Optional[Sequence[int]] = None,
     ) -> List[Tuple[int, LocalUpdateResult]]:
         """Execute many local updates, stacked into one population pass
         when possible (results in item order either way).
+
+        ``starts`` is the start model every item downloads or, with
+        ``rows``, a sequence of start models of which item ``i`` starts
+        from ``starts[rows[i]]`` — one process chunk spans several edge
+        rounds.  Such a chunk runs as one stacked pass when it is
+        homogeneous as a whole, and otherwise one start model's slice
+        at a time (each slice stacked when it can be).
 
         Each device still draws its minibatch indices from its own
         ``(step, edge, device)`` named stream — the stacked pass changes
@@ -198,11 +224,21 @@ class WorkerContext:
         is bit-identical to :meth:`run_item`'s.
         """
         items = tuple(items)
-        if not self._batchable(items):
+        batchable = self._batchable(items)
+        if rows is not None and not batchable:
+            pairs: List[Tuple[int, LocalUpdateResult]] = []
+            for row, group in groupby(zip(rows, items), key=itemgetter(0)):
+                pairs.extend(
+                    self.run_items(starts[row], [item for _, item in group])
+                )
+            return pairs
+        if not batchable:
             return [
-                (item.device_id, self.run_item(start_model, item))
+                (item.device_id, self.run_item(starts, item))
                 for item in items
             ]
+        if rows is not None:
+            starts = np.stack([starts[row] for row in rows])
         first = items[0]
         epochs = first.local_epochs
         check_positive("local_epochs", epochs)
@@ -221,7 +257,7 @@ class WorkerContext:
                 epochs, first.batch_size, rng=rng
             )
         finals, losses, grad_sq = self._population_model().local_updates(
-            start_model, xs, ys, first.learning_rate
+            starts, xs, ys, first.learning_rate
         )
         return [
             (

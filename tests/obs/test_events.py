@@ -2,6 +2,8 @@
 
 import io
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.obs import (
     read_events,
     replay_telemetry,
 )
+from repro.obs import events as events_module
 
 from tests.obs.conftest import build_obs_trainer
 
@@ -75,9 +78,28 @@ class TestManifest:
         assert manifest["preset"] == "blobs-bench"
         assert "repro_version" in manifest
         assert set(manifest["host"]) == {"platform", "python", "numpy"}
-        # The repo is a git checkout, so the best-effort revision resolves.
-        assert manifest["git_revision"]
         json.dumps(manifest)  # fully JSON-serializable
+
+    def test_git_revision_inside_a_checkout(self):
+        events_dir = Path(events_module.__file__).resolve().parent
+        try:
+            head = subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"],
+                capture_output=True, text=True, timeout=5, cwd=events_dir,
+            )
+        except OSError:
+            pytest.skip("git is not installed")
+        if head.returncode != 0:
+            pytest.skip("the source tree is not a git checkout")
+        manifest = build_manifest(seed=0, sampler="u", num_steps=1)
+        assert manifest["git_revision"] == head.stdout.strip()
+
+    def test_git_revision_outside_a_checkout_is_none(self, tmp_path, monkeypatch):
+        # _git_revision asks git about the directory of events.py.
+        monkeypatch.setattr(events_module, "__file__", str(tmp_path / "events.py"))
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        manifest = build_manifest(seed=0, sampler="u", num_steps=1)
+        assert manifest["git_revision"] is None
 
     def test_is_first_line_of_the_log(self):
         stream = io.StringIO()

@@ -218,6 +218,94 @@ class TestWorkerFailure:
                 )
 
 
+class TestStepChunks:
+    """The process pool splits a step's items into at most one chunk per
+    worker, cutting across edge rounds."""
+
+    def plans(self, model, step=3):
+        # Three uneven rounds, 8 items: 3 workers cut every round boundary.
+        start = model.flat_copy()
+        sizes, plans, device = (3, 1, 4), [], 0
+        for edge, size in enumerate(sizes):
+            items = tuple(
+                LocalUpdateItem(step, edge, device + k, 2, 0.05, 4)
+                for k in range(size)
+            )
+            plans.append(EdgeRoundPlan(step, edge, start + edge, items))
+            device += size
+        return plans
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 12])
+    def test_step_submits_at_most_one_future_per_worker(self, workers):
+        context, model = make_context(num_devices=8)
+        with ProcessExecutor(num_workers=workers) as executor:
+            executor.bind(context)
+            pool = executor._ensure_pool()
+            submitted = []
+            submit = pool.submit
+
+            def counted(*args, **kwargs):
+                submitted.append(args)
+                return submit(*args, **kwargs)
+
+            pool.submit = counted
+            executor.run_step(self.plans(model))
+            assert len(submitted) == min(workers, 8)
+            # An empty round is skipped; an empty step submits nothing.
+            submitted.clear()
+            empty = EdgeRoundPlan(3, 0, model.flat_copy(), ())
+            assert executor.run_step([empty]) == [{}]
+            assert submitted == []
+
+    def test_round_timings_one_record_per_chunk(self):
+        context, model = make_context(num_devices=8)
+        with ProcessExecutor(num_workers=3) as executor:
+            executor.bind(context)
+            executor.enable_worker_timings(granularity="round")
+            executor.run_step(self.plans(model))
+            timings = executor.drain_worker_timings()
+        # Chunks: items 0-1 (edge 0), 2-4 (edges 0, 1, 2), 5-7 (edge 2).
+        assert len(timings) == 3
+        assert sorted(t.edge for t in timings) == [-1, 0, 2]
+        assert all(t.device == -1 and t.step == 3 for t in timings)
+
+    def test_item_timings_keep_their_edges(self):
+        context, model = make_context(num_devices=8)
+        plans = self.plans(model)
+        with ProcessExecutor(num_workers=3) as executor:
+            executor.bind(context)
+            executor.enable_worker_timings()
+            executor.run_step(plans)
+            timings = executor.drain_worker_timings()
+        assert sorted((t.edge, t.device) for t in timings) == [
+            (plan.edge, item.device_id) for plan in plans for item in plan.items
+        ]
+
+    def test_failure_names_the_failing_items_edge(self):
+        context, model = make_context(num_devices=8)
+        plans = self.plans(model, step=5)
+        bad = LocalUpdateItem(5, 1, 999, 2, 0.05, 4)
+        plans[1] = EdgeRoundPlan(5, 1, plans[1].start_model, (bad,))
+        with ProcessExecutor(num_workers=2) as executor:
+            executor.bind(context)
+            # The bad item sits in a chunk that starts in edge 0.
+            with pytest.raises(WorkerError, match="step 5, edge 1") as excinfo:
+                executor.run_step(plans)
+            assert (excinfo.value.step, excinfo.value.edge) == (5, 1)
+
+    def test_unattributed_failure_names_the_chunks_first_round(self):
+        context, model = make_context(num_devices=8)
+        plans = self.plans(model, step=6)
+        # A truncated start model breaks the stacked pass itself, which
+        # no single item is to blame for.
+        plans[1] = EdgeRoundPlan(6, 1, plans[1].start_model[:-1], plans[1].items)
+        with ProcessExecutor(num_workers=2) as executor:
+            executor.bind(context)
+            with pytest.raises(WorkerError) as excinfo:
+                executor.run_step(plans)
+            assert (excinfo.value.step, excinfo.value.edge) == (6, 0)
+
+
 class TestLifecycle:
     def test_run_before_bind_rejected(self):
         for executor in (SerialExecutor(), ThreadExecutor(1), ProcessExecutor(1)):

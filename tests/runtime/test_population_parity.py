@@ -11,11 +11,12 @@ from repro.experiments.config import PRESETS
 from repro.experiments.runner import run_single
 from repro.hfl.telemetry import TelemetryRecorder
 from repro.hfl.device import Device
-from repro.runtime import EXECUTOR_KINDS
-from repro.runtime.work_items import LocalUpdateItem, WorkerContext
-from repro.nn.population import population_batching_disabled
+from repro.runtime import EXECUTOR_KINDS, ProcessExecutor, SerialExecutor
+from repro.runtime.work_items import EdgeRoundPlan, LocalUpdateItem, WorkerContext
+from repro.nn.population import PopulationModel, population_batching_disabled
+from repro.data.dataset import Dataset
 from repro.data.synthetic import make_blobs_dataset
-from repro.nn.architectures import build_mlp
+from repro.nn.architectures import build_mlp, build_model
 
 from tests.faults.test_degradation import build_trainer
 
@@ -214,6 +215,109 @@ class TestRunItemsFallbacks:
             clone.run_items(start, items),
             context.run_items(start, items),
         )
+
+
+class TestCrossEdgeChunks:
+    """Process chunks cut through edge rounds whose start models differ;
+    each device's result still equals the serial executor's bit for bit."""
+
+    #: Items per edge round: with 12 items, 2 workers cut edge 1 and
+    #: 3 workers cut edges 1 and 2.
+    ROUND_SIZES = (3, 4, 2, 3)
+    SHAPES = {"mnist": (1, 8, 8), "cifar10": (3, 8, 8), "mlp": (16,)}
+
+    @classmethod
+    def context(cls, task, rng, small_device=None):
+        shape = cls.SHAPES[task]
+        devices = [
+            Device(
+                m,
+                Dataset(
+                    rng.normal(size=(3 if m == small_device else 12,) + shape),
+                    rng.integers(0, 10, size=3 if m == small_device else 12),
+                    10,
+                ),
+            )
+            for m in range(sum(cls.ROUND_SIZES))
+        ]
+        model = build_model(task, shape, scale="tiny", rng=rng)
+        return WorkerContext(model, devices, master_seed=11)
+
+    @classmethod
+    def plans(cls, context, rng, step=4):
+        base = context.model.flat_copy()
+        plans, device = [], 0
+        for edge, size in enumerate(cls.ROUND_SIZES):
+            items = tuple(
+                LocalUpdateItem(step, edge, device + k, 2, 0.05, 8)
+                for k in range(size)
+            )
+            start = base + 0.01 * rng.normal(size=base.shape)
+            plans.append(EdgeRoundPlan(step, edge, start, items))
+            device += size
+        return plans
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for got_round, want_round in zip(got, want):
+            assert got_round.keys() == want_round.keys()
+            for device_id, result in want_round.items():
+                np.testing.assert_array_equal(
+                    got_round[device_id].final_model, result.final_model
+                )
+                assert got_round[device_id].grad_sq_norms == result.grad_sq_norms
+                assert got_round[device_id].mean_loss == result.mean_loss
+
+    def run(self, executor, context, plans):
+        with executor:
+            executor.bind(context.clone())
+            return [dict(r) for r in executor.run_step(plans)]
+
+    @pytest.mark.parametrize("task", ["mnist", "cifar10", "mlp"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_cross_edge_chunks_match_serial(self, rng, task, workers):
+        context = self.context(task, rng)
+        plans = self.plans(context, rng)
+        items = tuple(item for plan in plans for item in plan.items)
+        assert context._batchable(items)  # each chunk is one stacked pass
+        serial = self.run(SerialExecutor(), context, plans)
+        self.assert_same(self.run(ProcessExecutor(workers), context, plans), serial)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_unbatchable_chunk_falls_back_and_matches(self, rng, workers):
+        # Device 5 (edge 1) clips the effective batch to 3 samples.
+        context = self.context("cifar10", rng, small_device=5)
+        plans = self.plans(context, rng)
+        items = tuple(item for plan in plans for item in plan.items)
+        assert not context._batchable(items)
+        serial = self.run(SerialExecutor(), context, plans)
+        self.assert_same(self.run(ProcessExecutor(workers), context, plans), serial)
+
+    def test_mixed_chunk_falls_back_one_round_at_a_time(self, rng, monkeypatch):
+        """A chunk that cannot stack as a whole runs one stacked pass per
+        homogeneous round slice, never the per-device loop for those."""
+        context = self.context("mlp", rng, small_device=5)
+        plans = self.plans(context, rng)
+        starts = tuple(plan.start_model for plan in plans)
+        items = tuple(item for plan in plans for item in plan.items)
+        rows = tuple(row for row, plan in enumerate(plans) for _ in plan.items)
+        stacked = []
+        original = PopulationModel.local_updates
+
+        def counted(self, start_model, xs, *args):
+            stacked.append(xs.shape[1])
+            return original(self, start_model, xs, *args)
+
+        monkeypatch.setattr(PopulationModel, "local_updates", counted)
+        pairs = context.run_items(starts, items, rows)
+        # Edge 1 holds the odd device out, so it runs item by item.
+        assert stacked == [3, 2, 3]
+        reference = [
+            (item.device_id, context.run_item(starts[row], item))
+            for item, row in zip(items, rows)
+        ]
+        TestRunItemsFallbacks.assert_results_equal(pairs, reference)
 
 
 class TestTopKSelection:

@@ -78,7 +78,8 @@ class TestAttributionAcrossBackends:
             executor.run_step(plans)
             timings = executor.drain_worker_timings()
         # One record per round (serial/thread) or per worker chunk
-        # (process), all marked device=-1 and covering every edge.
+        # (process; here each chunk is one round), all marked device=-1
+        # and covering every edge.
         assert all(t.device == -1 for t in timings)
         assert {(t.step, t.edge) for t in timings} == {
             (plan.step, plan.edge) for plan in plans

@@ -12,6 +12,7 @@ a final cloud model bit-identical to an uninterrupted run.
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.runner import run_single
+from repro.faults import TrainerCheckpoint
 from repro.service import Coordinator
 
 from tests.service.conftest import tiny_scenario
@@ -168,3 +170,50 @@ class TestKillMinus9:
             # A second sweep must not double-submit the live run.
             assert coordinator.recover() == []
             coordinator.result("run-0001", timeout=600.0)
+
+
+class TestRoundLogBeforeCheckpoint:
+    """A checkpoint only becomes the recovery point once the round log
+    holds its step.  The test copies the whole state dir the instant each
+    checkpoint save returns, which is exactly what a kill −9 at that
+    point leaves on disk, and recovers every copy: no timing, no
+    subprocess."""
+
+    def test_crash_right_after_each_checkpoint_recovers_a_gapless_log(
+        self, tmp_path, monkeypatch
+    ):
+        steps = 12
+        scenario = tiny_scenario(num_steps=steps)
+        state = tmp_path / "state"
+        images = []
+        save = TrainerCheckpoint.save
+
+        def save_then_image(checkpoint, path):
+            written = save(checkpoint, path)
+            image = tmp_path / f"crash-at-{checkpoint.step}"
+            shutil.copytree(state, image)
+            images.append(image)
+            return written
+
+        monkeypatch.setattr(TrainerCheckpoint, "save", save_then_image)
+        with Coordinator(state_dir=state, checkpoint_every=5) as coordinator:
+            run_id = coordinator.submit(scenario, sampler="mach")
+            coordinator.result(run_id, timeout=120.0)
+        monkeypatch.undo()
+        assert [image.name for image in images] == ["crash-at-5", "crash-at-10"]
+        reference = run_single(scenario, "mach")
+        for image in images:
+            log = image / "runs" / run_id / "metrics.jsonl"
+            logged = [json.loads(l)["steps_run"] for l in log.read_text().splitlines()]
+            checkpoint_step = int(image.name.rsplit("-", 1)[1])
+            # The crash image already holds the checkpointed step's line.
+            assert logged == list(range(1, checkpoint_step + 1))
+            with Coordinator(state_dir=image, checkpoint_every=5) as coordinator:
+                assert coordinator.recover() == [run_id]
+                assert coordinator.status(run_id).resumed_from_step == checkpoint_step
+                result = coordinator.result(run_id, timeout=120.0)
+            assert result.history.accuracy == reference.history.accuracy
+            lines = log.read_text().splitlines()
+            assert [json.loads(l)["steps_run"] for l in lines] == list(
+                range(1, steps + 1)
+            )
