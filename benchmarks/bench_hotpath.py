@@ -23,7 +23,7 @@ which checks that (1) the flat-buffer parameter aliasing is live and
 survives pickle/deepcopy (the pool-worker contract) with the fused SGD
 step bit-identical to the reference update, (2) the optimized
 (aliased + batched) path reproduces the reference history exactly on
-all three executor backends, with every CNN edge round stacking at
+both executor backends, with every CNN edge round stacking at
 least ``MIN_CNN_STACK`` devices (read from the telemetry's
 ``num_participants``), and (3) the existing checkpoint kill/resume
 determinism contract still holds on the optimized path.
@@ -193,8 +193,7 @@ def check_alias_identity(seed: int) -> bool:
     parameters view into the canonical buffer, the fused
     ``loss_and_grad(sgd_lr=...)`` step matches the reference
     grad-copy-then-load update bit for bit, and pickle round trips
-    re-alias into a private buffer (what thread clones and process-pool
-    workers do).
+    re-alias into a private buffer (what process-pool workers do).
     """
     import copy
     import pickle
@@ -251,7 +250,7 @@ def run_smoke(args) -> int:
         config = workload_config(args, workload)
         print(
             f"[smoke/{workload}] reference vs optimized on "
-            "serial/thread/process ..."
+            "serial/process ..."
         )
         with hotpath_disabled():
             reference = run_single(config, args.sampler)
@@ -259,11 +258,10 @@ def run_smoke(args) -> int:
         optimized = {
             "serial": run_single(config, args.sampler, telemetry=telemetry)
         }
-        for executor in ("thread", "process"):
-            optimized[executor] = run_single(
-                config.with_overrides(executor=executor, num_workers=2),
-                args.sampler,
-            )
+        optimized["process"] = run_single(
+            config.with_overrides(executor="process", num_workers=2),
+            args.sampler,
+        )
         for executor, result in optimized.items():
             if not identical(reference, result):
                 print(
@@ -272,7 +270,7 @@ def run_smoke(args) -> int:
                     file=sys.stderr,
                 )
                 return 1
-        print("        ok: three optimized backends match the reference bit for bit")
+        print("        ok: both optimized backends match the reference bit for bit")
         stacked = [r.num_participants for r in telemetry.records]
         print(
             f"        edge rounds stack {min(stacked)}..{max(stacked)} devices"

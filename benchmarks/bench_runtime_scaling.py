@@ -2,8 +2,8 @@
 
 Runs one fixed HFL workload (default: 64 devices / 4 edges / blobs
 task — the ISSUE's multi-device floor) under the serial reference
-backend and then under the thread / process pools at several worker
-counts, reporting wall-clock seconds and speedup versus serial.  Every
+backend and then under the process pool at several worker counts,
+reporting wall-clock seconds and speedup versus serial.  Every
 parallel run is also checked to be *bit-identical* to the serial
 history — the determinism contract of the runtime subsystem — so a
 speedup here is never bought with a different answer.
@@ -15,8 +15,8 @@ Standalone (not pytest-benchmark: it manages its own worker pools)::
 
 Pool start-up is included in each timed run (it is part of what a user
 pays), so short horizons understate the asymptotic speedup.  The JSON
-report embeds the host's CPU count — on a single-core box the pooled
-backends can only show their overhead, which is still worth tracking.
+report embeds the host's CPU count — on a single-core box the process
+pool can only show its overhead, which is still worth tracking.
 """
 
 from __future__ import annotations
@@ -99,10 +99,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sampler", default="uniform")
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4, 8])
-    parser.add_argument(
-        "--backends", nargs="+", default=["thread", "process"],
-        choices=["thread", "process"],
-    )
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repeats per configuration (best is kept)")
     parser.add_argument("--json", type=Path, default=None,
@@ -132,21 +128,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"{'backend':<10}{'workers':>8}{'seconds':>10}{'speedup':>9}  identical")
     print(f"{'serial':<10}{1:>8}{serial_seconds:>10.3f}{1.0:>9.2f}  -")
 
-    for backend in args.backends:
-        for workers in args.workers:
-            seconds, result = timed(backend, workers)
-            same = identical(serial_result, result)
-            rows.append(
-                {"backend": backend, "workers": workers, "seconds": seconds,
-                 "speedup": serial_seconds / seconds, "identical": same}
-            )
-            print(
-                f"{backend:<10}{workers:>8}{seconds:>10.3f}"
-                f"{serial_seconds / seconds:>9.2f}  {same}"
-            )
-            if not same:
-                print("FATAL: parallel history diverged from serial", file=sys.stderr)
-                return 1
+    for workers in args.workers:
+        seconds, result = timed("process", workers)
+        same = identical(serial_result, result)
+        rows.append(
+            {"backend": "process", "workers": workers, "seconds": seconds,
+             "speedup": serial_seconds / seconds, "identical": same}
+        )
+        print(
+            f"{'process':<10}{workers:>8}{seconds:>10.3f}"
+            f"{serial_seconds / seconds:>9.2f}  {same}"
+        )
+        if not same:
+            print("FATAL: parallel history diverged from serial", file=sys.stderr)
+            return 1
 
     if args.json is not None:
         report = {

@@ -20,10 +20,10 @@ CI smoke mode (cheap, asserts the topology contracts end to end)::
 
 which checks that (1) the default ``hierarchical`` + ``ipw`` pair is
 **bit-identical** to the pre-topology trainer (the runnable reference
-twin in :mod:`repro.topology.reference`) on all three executor
-backends, (2) the clustered and gossip modes run end-to-end with
-seeded determinism — two same-seed runs agree exactly, on the serial
-and thread backends — and produce sane (finite, in-[0,1]) accuracy,
+twin in :mod:`repro.topology.reference`) on both executor backends,
+(2) the clustered and gossip modes run end-to-end with seeded
+determinism — two same-seed runs agree exactly, on the serial and
+process backends — and produce sane (finite, in-[0,1]) accuracy,
 and (3) checkpoint kill/resume replays exactly under every topology.
 """
 
@@ -166,7 +166,7 @@ def smoke_default_pair_identity(args) -> bool:
     config = base_config(args)
     print("[smoke/identity] default pair vs pre-topology reference twin ...")
     reference = run_reference(config, "mach")
-    for executor in ("serial", "thread", "process"):
+    for executor in ("serial", "process"):
         run_cfg = config
         if executor != "serial":
             run_cfg = config.with_overrides(executor=executor, num_workers=2)
@@ -178,7 +178,7 @@ def smoke_default_pair_identity(args) -> bool:
                 file=sys.stderr,
             )
             return False
-    print("        ok: three executors match the reference twin bit for bit")
+    print("        ok: both executors match the reference twin bit for bit")
     return True
 
 
@@ -186,13 +186,13 @@ def smoke_alternate_topologies(args) -> bool:
     """Clustered + gossip: seeded determinism and a sane history."""
     for topology in ("clustered", "gossip"):
         config = base_config(args).with_overrides(**topology_overrides(topology))
-        print(f"[smoke/{topology}] seeded determinism on serial/thread ...")
+        print(f"[smoke/{topology}] seeded determinism on serial/process ...")
         first = run_single(config, "mach")
         again = run_single(config, "mach")
-        threaded = run_single(
-            config.with_overrides(executor="thread", num_workers=2), "mach"
+        pooled = run_single(
+            config.with_overrides(executor="process", num_workers=2), "mach"
         )
-        if not (identical(first, again) and identical(first, threaded)):
+        if not (identical(first, again) and identical(first, pooled)):
             print(
                 f"FATAL: {topology} runs are not deterministic for a fixed seed",
                 file=sys.stderr,

@@ -30,8 +30,8 @@ def main() -> None:
     )
     print(f"submitted {handle.run_id} (state={handle.status().state})")
 
-    # Stream round metrics live as the incremental pipeline finishes
-    # each step — follow=True blocks until the run is terminal.
+    # Stream round metrics live as the coordinator finishes each step
+    # — follow=True blocks until the run is terminal.
     for round_status in handle.stream(follow=True):
         marker = " <- synced" if round_status.synced else ""
         acc = (

@@ -56,7 +56,6 @@ from repro.runtime import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from repro.sampling import (
@@ -97,7 +96,6 @@ __all__ = [
     "Executor",
     "make_executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "Sampler",
     "UniformSampler",

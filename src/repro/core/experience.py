@@ -75,7 +75,7 @@ class DeviceExperience:
     def record(self, grad_sq_norms: Sequence[float]) -> None:
         """Fold one participated step's local gradients into the buffer.
 
-        Implements Eq. (14) followed by the incremental update of the
+        Implements Eq. (14) followed by the in-place update of the
         exploitation term's running maximum.
         """
         norms = [float(g) for g in grad_sq_norms]
@@ -286,7 +286,7 @@ class ExperienceTracker:
     Two bit-stability choices keep kill/resume and the reference twin
     exact: the running buffer average is ``np.mean`` over the *full*
     buffer (pairwise summation over the same values is deterministic,
-    whereas an incremental sum would group additions differently after
+    whereas a running sum would group additions differently after
     a checkpoint restore), and every bonus computation uses the same
     ``math.log`` / ``np.sqrt`` / divide sequence the scalar twin makes
     (all correctly rounded elementwise, so vector and scalar results
@@ -387,7 +387,7 @@ class ExperienceTracker:
         self._buffer_len[m] = need
         self._participation_count[m] += 1
         self._touched.add(m)
-        # Full-buffer mean (not an incremental sum): bit-stable across
+        # Full-buffer mean (not a running sum): bit-stable across
         # checkpoint restores — see the class docstring.
         running_average = float(np.mean(data[:need]))
         if running_average > self._window_best[m]:

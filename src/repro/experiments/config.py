@@ -159,7 +159,7 @@ class ScenarioConfig:
     )
     num_workers: Optional[int] = _flag(
         None, "--num-workers",
-        "worker count for pooled executors (default: CPU count)",
+        "worker count for the process executor (default: CPU count)",
     )
     fault_profile: Optional[str] = _flag(
         None, "--fault-profile", "fault injection: a preset "

@@ -721,7 +721,7 @@ def _bench_smoke_parser() -> argparse.ArgumentParser:
         prog=f"{_PROG} bench-smoke",
         description="Smoke-check the coordinator service against the "
                     "synchronous trainer: same scenario, same seed, the "
-                    "drained-queue service run must be bit-identical.",
+                    "service run must be bit-identical.",
     )
     parser.add_argument(
         "--preset", default="blobs-bench",

@@ -10,7 +10,6 @@ makes long runs resumable with exact-history replay.  See DESIGN.md §8.
 
 from repro.faults.checkpoint import (
     CHECKPOINT_VERSION,
-    LEGACY_CHECKPOINT_VERSIONS,
     CheckpointIntegrityError,
     TrainerCheckpoint,
 )
@@ -29,7 +28,6 @@ from repro.faults.profile import (
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "LEGACY_CHECKPOINT_VERSIONS",
     "CheckpointIntegrityError",
     "FAULT_KINDS",
     "FAULT_PRESETS",

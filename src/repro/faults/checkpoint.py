@@ -24,7 +24,7 @@ canonical buffer, not views into it), and restoring installs them via
 fresh buffer.  Resume bit-equality additionally relies on the
 experience tracker computing buffer averages over the *full* restored
 buffer (see :class:`repro.core.experience.ExperienceTracker`), never
-from incrementally accumulated partial sums.
+from running partial sums.
 """
 
 from __future__ import annotations
@@ -43,18 +43,14 @@ from repro.utils.serialization import (
     to_jsonable,
 )
 
-#: Format marker so future layout changes can be detected on load.
-#: v2 (the topology layer) added the ``topology_name`` /
-#: ``aggregation_name`` run fingerprints and the ``topology_state``
-#: snapshot.  v3 (the open-population layer) added the ``churn_state``
-#: snapshot, the ``stale_buffer`` of parked late uploads, the
-#: ``robustness_counters`` and a SHA-256 ``payload_sha256`` integrity
-#: checksum.  v1/v2 checkpoints still load, defaulting to a closed
-#: population with an empty staleness buffer.
+#: Format marker so layout changes are detected on load.  v2 (the
+#: topology layer) added the ``topology_name`` / ``aggregation_name``
+#: run fingerprints and the ``topology_state`` snapshot.  v3 (the
+#: open-population layer) added the ``churn_state`` snapshot, the
+#: ``stale_buffer`` of parked late uploads, the ``robustness_counters``
+#: and the SHA-256 ``payload_sha256`` integrity checksum.  Only the
+#: current version loads, and only with its checksum.
 CHECKPOINT_VERSION = 3
-
-#: Older formats :meth:`TrainerCheckpoint.from_dict` can still read.
-LEGACY_CHECKPOINT_VERSIONS = (1, 2)
 
 
 class CheckpointIntegrityError(ValueError):
@@ -151,8 +147,14 @@ class TrainerCheckpoint:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "TrainerCheckpoint":
-        """Rebuild from :meth:`to_dict` output."""
+        """Rebuild from :meth:`to_dict` output.
+
+        Raises :class:`ValueError` for a missing key or any version but
+        :data:`CHECKPOINT_VERSION`, and :class:`CheckpointIntegrityError`
+        when ``payload_sha256`` is absent or does not match.
+        """
         required = {
+            "version",
             "step",
             "master_seed",
             "sampler_name",
@@ -164,23 +166,25 @@ class TrainerCheckpoint:
         missing = required - set(payload)
         if missing:
             raise ValueError(f"checkpoint missing keys: {sorted(missing)}")
-        version = int(payload.get("version", CHECKPOINT_VERSION))
-        if version != CHECKPOINT_VERSION and version not in LEGACY_CHECKPOINT_VERSIONS:
+        version = int(payload["version"])
+        if version != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {version} "
-                f"(expected {CHECKPOINT_VERSION} or a legacy version in "
-                f"{LEGACY_CHECKPOINT_VERSIONS})"
+                f"(expected {CHECKPOINT_VERSION})"
             )
         stored_checksum = payload.get("payload_sha256")
-        if stored_checksum is not None:
-            actual = _payload_checksum(payload)
-            if actual != stored_checksum:
-                raise CheckpointIntegrityError(
-                    "checkpoint payload fails its SHA-256 checksum "
-                    f"(stored {stored_checksum[:12]}…, recomputed "
-                    f"{actual[:12]}…) — the file was corrupted after it "
-                    "was written"
-                )
+        if stored_checksum is None:
+            raise CheckpointIntegrityError(
+                "checkpoint payload has no payload_sha256 checksum"
+            )
+        actual = _payload_checksum(payload)
+        if actual != stored_checksum:
+            raise CheckpointIntegrityError(
+                "checkpoint payload fails its SHA-256 checksum "
+                f"(stored {stored_checksum[:12]}…, recomputed "
+                f"{actual[:12]}…) — the file was corrupted after it "
+                "was written"
+            )
         decoded = from_jsonable(payload)
         return cls(
             step=int(decoded["step"]),
@@ -202,21 +206,15 @@ class TrainerCheckpoint:
             total_participants=int(decoded.get("total_participants", 0)),
             reached_target_at=decoded.get("reached_target_at"),
             telemetry_state=decoded.get("telemetry_state"),
-            # v1 checkpoints predate the topology layer; every such run
-            # used the hierarchical + ipw pair implicitly.
             topology_name=str(decoded.get("topology_name", "hierarchical")),
             aggregation_name=str(decoded.get("aggregation_name", "ipw")),
             topology_state=dict(decoded.get("topology_state") or {}),
-            # v1/v2 checkpoints predate the open-population layer; every
-            # such run was a closed world with no staleness buffer.
             churn_state=decoded.get("churn_state"),
             stale_buffer=list(decoded.get("stale_buffer") or []),
             robustness_counters=dict(decoded.get("robustness_counters") or {}),
             # Pre-adaptive-cadence checkpoints carry no eval cursor; the
             # trainer re-derives one from the restored history.
             eval_state=decoded.get("eval_state"),
-            # Loads normalize to the current version: re-saving a
-            # legacy checkpoint writes the v3 layout.
             version=CHECKPOINT_VERSION,
         )
 

@@ -12,7 +12,7 @@ from a :class:`~repro.utils.rng.SeedSequenceFactory` named stream keyed
 by ``(step, edge, device)`` (plus the fault kind), derived from a child
 factory of the trainer's master seed.  Decisions therefore depend only
 on the master seed and the fault profile — never on executor backend,
-worker count or completion order — and serial/thread/process runs stay
+worker count or completion order — and serial and process runs stay
 bit-identical under any profile.
 """
 

@@ -70,12 +70,12 @@ class HFLConfig:
         Master seed for all engine randomness.
     executor:
         Which :mod:`repro.runtime` backend runs the device local
-        updates — ``"serial"`` (default, in-process reference path),
-        ``"thread"`` or ``"process"``.  All backends are bit-identical
-        for a fixed seed; the pooled ones trade setup/serialization
-        overhead for multi-core wall-clock.
+        updates — ``"serial"`` (default, in-process reference path) or
+        ``"process"``.  Both backends are bit-identical for a fixed
+        seed; the process pool trades setup/serialization overhead for
+        multi-core wall-clock.
     num_workers:
-        Worker count for the pooled executors (``None`` ⇒ CPU count);
+        Worker count for the process executor (``None`` ⇒ CPU count);
         ignored by the serial backend.
     fault_profile:
         Fault injection for the run — a

@@ -330,12 +330,6 @@ class HFLTrainer:
         self.executor.bind(
             WorkerContext(self.model, self.devices, config.seed)
         )
-        #: Incremental round pipeline (the coordinator service sets this):
-        #: edge rounds are admitted as they complete via
-        #: :meth:`Executor.submit_step` instead of the run_step barrier.
-        #: Finishing stays in plan order, so a drained queue is
-        #: bit-identical to the synchronous barrier path.
-        self.incremental = False
 
         # Observability: one handle receives every engine record.
         # Imported lazily: repro.obs builds on repro.hfl's telemetry
@@ -682,70 +676,19 @@ class HFLTrainer:
                 self._apply_churn(t)
             pending = [self._plan_round(t, edge) for edge in self.edges]
             active = [p for p in pending if p is not None]
-        if self.incremental:
-            # Incremental round pipeline: edge rounds stream back in
-            # completion order and each is finished the moment every
-            # lower-indexed round has finished — the finish phase of
-            # early rounds overlaps the execute phase of late ones, but
-            # the (edge, member) feedback order is exactly the barrier
-            # path's, so the result is bit-identical.  The inline finish
-            # work is attributed to the finish phase.
-            with obs.phase("execute") as execute:
-                total, finish_seconds = self._run_step_incremental(t, active)
-                obs.worker_timings()
-                execute.adjust = -finish_seconds
-            with obs.phase("finish") as finish:
-                finish.adjust = finish_seconds
-                if self._max_staleness > 0:
-                    self._admit_stale(t)
-        else:
-            with obs.phase("execute"):
-                step_results = self.executor.run_step([p.plan for p in active])
-                obs.worker_timings()
-            with obs.phase("finish"):
-                total = sum(
-                    self._finish_round(t, p, results)
-                    for p, results in zip(active, step_results)
-                )
-                if self._max_staleness > 0:
-                    # Late uploads whose deadline extension expires this
-                    # step join the post-round edge models.
-                    self._admit_stale(t)
-        return total
-
-    def _run_step_incremental(
-        self, t: int, active: List[_PendingRound]
-    ) -> "tuple[int, float]":
-        """Admit streamed edge rounds, finishing strictly in plan order.
-
-        Out-of-order completions are buffered until their prefix is
-        finished — the admission discipline that keeps a drained queue
-        bit-identical to the barrier path (sampler feedback and edge
-        aggregation happen in exactly the barrier's (edge, member)
-        order).  Returns the participant count and the wall-clock spent
-        in finish work, so the caller can split phase attribution.
-        """
-        clock = time.perf_counter
-        total = 0
-        finish_seconds = 0.0
-        buffered: Dict[int, Dict[int, LocalUpdateResult]] = {}
-        next_index = 0
-        for index, results in self.executor.submit_step(
-            [p.plan for p in active]
-        ):
-            buffered[index] = results
-            while next_index in buffered:
-                f0 = clock()
-                total += self._finish_round(
-                    t, active[next_index], buffered.pop(next_index)
-                )
-                finish_seconds += clock() - f0
-                next_index += 1
-        if next_index != len(active):  # pragma: no cover - executor contract
-            raise RuntimeError(
-                f"executor streamed {next_index} of {len(active)} rounds"
+        with obs.phase("execute"):
+            step_results = self.executor.run_step([p.plan for p in active])
+            obs.worker_timings()
+        with obs.phase("finish"):
+            total = sum(
+                self._finish_round(t, p, results)
+                for p, results in zip(active, step_results)
             )
-        return total, finish_seconds
+            if self._max_staleness > 0:
+                # Late uploads whose deadline extension expires this
+                # step join the post-round edge models.
+                self._admit_stale(t)
+        return total
 
     def _gather_uploads(self, t: int) -> List[np.ndarray]:
         """The per-edge models entering this sync step's exchange.

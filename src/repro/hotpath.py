@@ -12,9 +12,8 @@ both paths and asserts the histories match exactly.
 The switch is a process-global flag, not per-object state, because the
 optimizations span layers (mobility, nn, hfl, runtime) and threading a
 flag through every constructor would couple them all to this concern.
-Worker threads observe flips immediately; worker *processes* inherit
-the flag at pool start-up (fork) — flip it before building a trainer,
-not mid-run.
+Worker processes inherit the flag at pool start-up (fork) — flip it
+before building a trainer, not mid-run.
 """
 
 from __future__ import annotations

@@ -19,8 +19,7 @@ class ConvWorkspace:
 
     One workspace belongs to one layer instance (or one stacked conv of
     a population model) and is therefore only ever touched by one
-    thread at a time (thread workers clone the whole model, process
-    workers own their copy).  A call gets the leading rows of its tag's
+    thread at a time (process workers own their copy of the model).  A call gets the leading rows of its tag's
     buffer, which is reallocated only when a call needs more rows than
     it has: the smaller final batch of an epoch, or a population round
     of fewer devices, reuses the prefix of the largest buffer so far,

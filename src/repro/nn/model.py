@@ -17,9 +17,9 @@ Aliasing is built lazily on first flat access and is *transparent*:
 layers and optimizers keep mutating ``Parameter.value`` / ``.grad`` in
 place, which numpy views propagate to the canonical buffers.  The alias
 state is transient — :meth:`Model.__getstate__` drops it, so pickled /
-deep-copied models (thread-pool clones, process-pool workers) ship
-plain per-parameter arrays and re-alias lazily on their side, exactly
-like :class:`~repro.nn.functional.ConvWorkspace` resets its scratch.
+deep-copied models (a process-pool worker's copy) ship plain
+per-parameter arrays and re-alias lazily on their side, exactly like
+:class:`~repro.nn.functional.ConvWorkspace` resets its scratch.
 
 ``flat_copy`` / ``load_flat`` are the only parameter-vector surface:
 the pre-facade aliases (``get_flat`` / ``set_flat`` /

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from types import SimpleNamespace
 from typing import Optional
 
 from repro.obs.audit import MACHAuditTrail, SamplingDecision
@@ -121,19 +120,14 @@ _HOOKS = (
 
 
 class _Phase:
-    """One engine phase, timed by one clock pair.
+    """One engine phase, timed by one clock pair."""
 
-    Subscribers get the measured duration plus :attr:`adjust`; the
-    tracer span covers the raw interval.
-    """
-
-    __slots__ = ("_obs", "_name", "_attrs", "_start", "adjust")
+    __slots__ = ("_obs", "_name", "_attrs", "_start")
 
     def __init__(self, obs: "Observability", name: str, attrs: dict) -> None:
         self._obs = obs
         self._name = name
         self._attrs = attrs
-        self.adjust = 0.0
 
     def __enter__(self) -> "_Phase":
         self._obs._emit("push_phase", self._name)
@@ -146,12 +140,11 @@ class _Phase:
         self._obs.tracer.end(end)
         self._obs._emit("pop_phase")
         if exc_type is None:
-            seconds = end - self._start + self.adjust
-            self._obs._emit("record_phase", self._name, seconds)
+            self._obs._emit("record_phase", self._name, end - self._start)
 
 
 #: The phase scope of a handle that no sink times phases for.
-_NULL_PHASE = nullcontext(SimpleNamespace(adjust=0.0))
+_NULL_PHASE = nullcontext()
 
 
 def _forward(hook: str):

@@ -17,7 +17,7 @@ stack.  It aggregates three streams into one hierarchy of
 
 All clocks are observational (``perf_counter`` / ``process_time``); the
 profiler never touches an RNG or model state, so enabling it cannot
-perturb a run — the bit-identity contract is tested across all three
+perturb a run — the bit-identity contract is tested across both
 executors.
 
 Exports:

@@ -2,10 +2,10 @@
 
 The trainer describes each time step's work as edge-round plans of
 picklable device work items; an :class:`Executor` backend decides how
-they run — serially (the default), on a thread pool, or on a process
-pool.  Every backend is bit-identical for a fixed master seed because
-work-item randomness is derived from ``(seed, step, edge, device)``
-named streams, never from worker scheduling.
+they run — serially (the default) or on a process pool.  Both
+backends are bit-identical for a fixed master seed because work-item
+randomness is derived from ``(seed, step, edge, device)`` named
+streams, never from worker scheduling.
 
 Quickstart::
 
@@ -34,7 +34,6 @@ from repro.runtime.work_items import (
     WorkerContext,
 )
 from repro.runtime.serial import SerialExecutor
-from repro.runtime.threads import ThreadExecutor
 from repro.runtime.processes import ProcessExecutor
 
 __all__ = [
@@ -49,6 +48,5 @@ __all__ = [
     "RoundResults",
     "WorkerContext",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
 ]

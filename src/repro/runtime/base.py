@@ -9,8 +9,6 @@ backend decides how the items are scheduled:
 
 - :class:`~repro.runtime.serial.SerialExecutor` — in-process loop, the
   default and the reference semantics;
-- :class:`~repro.runtime.threads.ThreadExecutor` — a thread pool with
-  per-thread scratch models (BLAS kernels release the GIL);
 - :class:`~repro.runtime.processes.ProcessExecutor` — a process pool;
   device datasets and the scratch model ship once per worker, each
   step's items split into at most one chunk per worker across edge
@@ -24,24 +22,24 @@ because every work item derives its own named random stream from
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.runtime.work_items import EdgeRoundPlan, RoundResults, WorkerContext
 
 #: Backend names accepted by :func:`make_executor` and ``HFLConfig.executor``.
-EXECUTOR_KINDS = ("serial", "thread", "process")
+EXECUTOR_KINDS = ("serial", "process")
 
 
 class WorkerTiming(NamedTuple):
     """Wall-clock attribution of one executed unit of local-update work.
 
     Collected only when the caller opts in via
-    :meth:`Executor.enable_worker_timings`; ``worker`` names the thread
-    / process (or ``"main"`` for the serial backend) that ran the unit,
+    :meth:`Executor.enable_worker_timings`; ``worker`` names the pool
+    process (or ``"main"`` for the serial backend) that ran the unit,
     and ``seconds`` is the unit's own monotonic-clock duration measured
     where it ran.  At ``"item"`` granularity a record covers one device's
     local-update loop; at ``"round"`` granularity ``device`` is ``-1``
-    and a record covers one edge round (serial, thread) or one worker's
+    and a record covers one edge round (serial) or one worker's
     chunk of the step (process).  A process chunk may span several
     edge rounds; its record then has ``edge=-1``, so consumers that
     group by edge (the profiler's per-edge shares, the tracer's
@@ -58,7 +56,7 @@ class WorkerTiming(NamedTuple):
 
 
 class WorkerError(RuntimeError):
-    """A pooled worker failed while running local-update items.
+    """A pool worker failed while running local-update items.
 
     Carries ``(step, edge)`` coordinates so the caller can tell *which*
     round died, and chains the original worker exception as
@@ -66,9 +64,9 @@ class WorkerError(RuntimeError):
     edge is then the failing item's where the error names one (the
     ``work_item`` attribute :class:`~repro.runtime.work_items
     .WorkerContext` sets when a device lookup or local update fails),
-    otherwise the chunk's first round's.  Pooled backends shut down and
-    recycle their pool before raising, so the executor stays usable for
-    the next step.
+    otherwise the chunk's first round's.  The process backend shuts down
+    and recycles its pool before raising, so the executor stays usable
+    for the next step.
     """
 
     def __init__(self, step: int, edge: int, cause: BaseException) -> None:
@@ -127,31 +125,6 @@ class Executor(ABC):
         objects inside are fresh every step.  Callers that retain the
         list across steps must copy it.
         """
-
-    def submit_step(
-        self, plans: Sequence[EdgeRoundPlan]
-    ) -> "Iterator[Tuple[int, RoundResults]]":
-        """Yield ``(plan_index, results)`` per round as results complete.
-
-        The streaming twin of :meth:`run_step`: instead of a barrier it
-        hands each edge round back as soon as its items are done, so the
-        caller (the service's incremental round pipeline) can start the
-        finish phase of early rounds while later rounds still compute.
-        Every plan is yielded exactly once; completion *order* is
-        backend-dependent, which is why bit-identity is the caller's
-        job — the trainer buffers out-of-order rounds and finishes in
-        plan order, making a drained queue indistinguishable from the
-        barrier path.
-
-        The default implementation degrades gracefully: it runs the
-        barrier :meth:`run_step` and yields the rounds in plan order
-        (which is also their completion order on the serial backend).
-        Pooled backends may override with true as-completed streaming
-        (the thread backend does).
-        """
-        results = self.run_step(plans)
-        for index in range(len(plans)):
-            yield index, results[index]
 
     # -- worker-timing attribution (observability opt-in) --------------------
 
@@ -219,19 +192,15 @@ def resolve_num_workers(num_workers: Optional[int]) -> int:
 
 
 def make_executor(kind: str, num_workers: Optional[int] = None) -> Executor:
-    """Instantiate a backend by name (``serial`` / ``thread`` / ``process``).
+    """Instantiate a backend by name (``serial`` / ``process``).
 
     ``num_workers`` is ignored by the serial backend and defaults to the
-    CPU count for the pooled ones.
+    CPU count for the process pool.
     """
     if kind == "serial":
         from repro.runtime.serial import SerialExecutor
 
         return SerialExecutor()
-    if kind == "thread":
-        from repro.runtime.threads import ThreadExecutor
-
-        return ThreadExecutor(num_workers=num_workers)
     if kind == "process":
         from repro.runtime.processes import ProcessExecutor
 

@@ -17,7 +17,6 @@ order — reproduces the serial run bit for bit.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -72,23 +71,23 @@ class WorkerContext:
     """Per-worker immutable state: scratch model, devices, master seed.
 
     One context is built by the trainer and handed to the executor via
-    :meth:`repro.runtime.base.Executor.bind`.  Backends that own worker
-    replicas (threads, processes) call :meth:`clone` so each worker gets
-    a private scratch model; the device datasets are read-only and
-    shared (threads) or copied on ship (processes).
+    :meth:`repro.runtime.base.Executor.bind`.  The process backend
+    ships it once per pool worker (pickled on spawn platforms,
+    inherited by fork otherwise), so each worker gets a private scratch
+    model and its own copy of the device datasets.
 
     Flat-buffer aliasing contract: the scratch model's parameters are
     numpy views into one canonical flat vector
     (:meth:`repro.nn.model.Model.flat_view`), and numpy serializes a
     view as a standalone array.  ``Model.__getstate__`` therefore drops
-    the alias state, so both :meth:`clone`'s deepcopy (thread replicas)
-    and the pickle that ships a context to process-pool workers carry
-    plain per-parameter arrays that re-alias lazily into a fresh
-    private buffer on first flat access — the same transient-scratch
-    discipline as :class:`repro.nn.functional.ConvWorkspace`.
+    the alias state, so the pickle that ships a context to a pool
+    worker carries plain per-parameter arrays that re-alias lazily into
+    a fresh private buffer on first flat access — the same
+    transient-scratch discipline as
+    :class:`repro.nn.functional.ConvWorkspace`.
     """
 
-    #: Per-worker scratch state rebuilt lazily after clone/pickle: the
+    #: Per-worker scratch state rebuilt lazily after a pickle: the
     #: population matrices are plain capacity-sized buffers a fresh
     #: worker re-allocates on first batched round.
     _TRANSIENT_ATTRS = ("_pop_model", "_pop_supported")
@@ -118,12 +117,6 @@ class WorkerContext:
     @property
     def master_seed(self) -> int:
         return self.seeds.master_seed
-
-    def clone(self) -> "WorkerContext":
-        """A context with a private scratch model (for one worker replica)."""
-        return WorkerContext(
-            copy.deepcopy(self.model), self.devices, self.master_seed
-        )
 
     def run_item(
         self, start_model: np.ndarray, item: LocalUpdateItem

@@ -4,12 +4,10 @@ The :class:`Coordinator` owns a scenario registry — :meth:`submit`
 queues a :class:`~repro.experiments.config.ScenarioConfig` and returns a
 ``run_id`` — and a single dispatcher thread that executes runs one at a
 time by driving :meth:`HFLTrainer.steps`, the resumable step generator.
-Runs execute on the trainer's *incremental round pipeline*
-(``trainer.incremental = True``): edge rounds are admitted as their
-local-update results complete via :meth:`Executor.submit_step`, with
-finishing held in plan order so a drained queue is bit-identical to the
-synchronous barrier trainer (the contract `tests/service` asserts on
-all three executor backends).
+Every step runs through the same barrier pipeline as the synchronous
+trainer, so a service run is bit-identical to
+:func:`~repro.api.run_scenario` (the contract
+`tests/service` asserts on both executor backends).
 
 Lifecycle: :meth:`pause` / :meth:`resume_run` gate the loop between
 steps, :meth:`stop` closes the generator at the next step boundary, and
@@ -69,12 +67,21 @@ class QueueFullError(RuntimeError):
     """:data:`MAX_QUEUED_RUNS` runs are already waiting to execute."""
 
 
+def _write_json_atomic(path: Path, payload: dict) -> None:
+    """Write ``payload`` as JSON via a temp file and an atomic rename."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    os.replace(tmp, path)
+
+
 @dataclass
 class _RunRecord:
     """Everything the coordinator tracks about one submitted run."""
 
     run_id: str
-    config: ScenarioConfig
+    #: ``None`` only for a run :meth:`Coordinator.recover` could not
+    #: rebuild (it is registered straight into ``failed``).
+    config: Optional[ScenarioConfig]
     sampler: str
     seed: int
     stop_at_target: bool = False
@@ -103,7 +110,7 @@ class _RunRecord:
             state=self.state,
             sampler=self.sampler,
             seed=self.seed,
-            num_steps=self.config.num_steps,
+            num_steps=0 if self.config is None else self.config.num_steps,
             steps_run=self.steps_run,
             preset=self.preset,
             final_accuracy=self.final_accuracy,
@@ -375,7 +382,10 @@ class Coordinator:
         :meth:`TrainerCheckpoint.load_with_fallback`) seeds the resume;
         a run that died before its first checkpoint restarts from step
         0 — either way the replayed history is bit-identical to an
-        uninterrupted run.  Returns the recovered run ids.
+        uninterrupted run.  A run whose manifest, config or checkpoint
+        fails to load is registered as ``failed`` with the error in its
+        manifest, its files left in place; the other runs still
+        recover.  Returns the recovered run ids.
         """
         if self.state_dir is None:
             return []
@@ -384,33 +394,66 @@ class Coordinator:
             manifest_path = run_dir / "run.json"
             if not manifest_path.is_file():
                 continue
-            manifest = json.loads(manifest_path.read_text())
-            if manifest["state"] in TERMINAL_STATES:
-                continue
             with self._lock:
-                if manifest["run_id"] in self._runs:
+                if run_dir.name in self._runs:
                     continue
-            checkpoint = None
-            checkpoint_path = run_dir / "checkpoint.json"
-            if checkpoint_path.is_file() or Path(
-                str(checkpoint_path) + ".prev"
-            ).is_file():
-                checkpoint, _used = TrainerCheckpoint.load_with_fallback(
-                    checkpoint_path
+            manifest = None
+            try:
+                manifest = json.loads(manifest_path.read_text())
+                if manifest["state"] in TERMINAL_STATES:
+                    continue
+                config = ScenarioConfig.from_dict(manifest["config"])
+                checkpoint = None
+                checkpoint_path = run_dir / "checkpoint.json"
+                if checkpoint_path.is_file() or Path(
+                    str(checkpoint_path) + ".prev"
+                ).is_file():
+                    checkpoint, _used = TrainerCheckpoint.load_with_fallback(
+                        checkpoint_path
+                    )
+                self._trim_round_log(
+                    run_dir, 0 if checkpoint is None else checkpoint.step
                 )
-            self._trim_round_log(run_dir, 0 if checkpoint is None else checkpoint.step)
-            self.submit(
-                ScenarioConfig.from_dict(manifest["config"]),
-                sampler=manifest["sampler"],
-                seed=manifest["seed"],
-                stop_at_target=manifest.get("stop_at_target", False),
-                preset=manifest.get("preset"),
-                run_id=manifest["run_id"],
-                _resume_from=checkpoint,
-                _recovered=True,
-            )
-            recovered.append(manifest["run_id"])
+                self.submit(
+                    config,
+                    sampler=manifest["sampler"],
+                    seed=manifest["seed"],
+                    stop_at_target=manifest.get("stop_at_target", False),
+                    preset=manifest.get("preset"),
+                    run_id=run_dir.name,
+                    _resume_from=checkpoint,
+                    _recovered=True,
+                )
+            except Exception as error:  # noqa: BLE001 - run isolation
+                self._register_unrecoverable(run_dir, manifest, error)
+                continue
+            recovered.append(run_dir.name)
         return recovered
+
+    def _register_unrecoverable(
+        self, run_dir: Path, manifest: object, error: Exception
+    ) -> None:
+        """Mark a run :meth:`recover` could not rebuild as ``failed``.
+
+        Whatever of the manifest parsed is kept (the raw config too, so
+        an operator can repair it by hand); only ``state`` and
+        ``error`` change.
+        """
+        fields = dict(manifest) if isinstance(manifest, dict) else {}
+        seed = fields.get("seed")
+        record = _RunRecord(
+            run_id=run_dir.name,
+            config=None,
+            sampler=str(fields.get("sampler", "")),
+            seed=seed if isinstance(seed, int) else 0,
+            state="failed",
+            error=f"{type(error).__name__}: {error}",
+        )
+        record.done.set()
+        fields.update(run_id=record.run_id, state="failed", error=record.error)
+        with self._lock:
+            self._runs[record.run_id] = record
+            _write_json_atomic(run_dir / "run.json", fields)
 
     def _trim_round_log(self, run_dir: Path, resume_step: int) -> None:
         """Drop JSONL rounds past the checkpoint so the replay appends
@@ -468,10 +511,9 @@ class Coordinator:
             "preset": record.preset,
             "state": record.state,
             "steps_run": record.steps_run,
+            "error": record.error,
         }
-        tmp = run_dir / "run.json.tmp"
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        os.replace(tmp, run_dir / "run.json")
+        _write_json_atomic(run_dir / "run.json", manifest)
 
     def _execute_run(self, record: _RunRecord) -> None:
         config = record.config
@@ -500,7 +542,6 @@ class Coordinator:
             test_dataset=test,
             obs=obs,
         )
-        trainer.incremental = True
         log_handle = None
         if run_dir is not None:
             mode = "a" if record.resume_from is not None else "w"

@@ -2,7 +2,7 @@
 open world.
 
 The acceptance tests of the open-population PR: with churn, bounded
-staleness and faults all on, (a) serial, thread and process executors
+staleness and faults all on, (a) serial and process executors
 stay bit-identical, (b) a run killed mid-flight — with uploads parked
 in the staleness buffer and churn state mid-stream — resumes exactly,
 and (c) a corrupted checkpoint is detected by its checksum and the

@@ -21,7 +21,7 @@ RUN_SURFACE = {
                                  "mnist-paper"), None, None),
     "--sampler": ("mach", ("mach", "mach_p", "uniform", "class_balance",
                            "statistical"), None, None),
-    "--executor": ("serial", ("serial", "thread", "process"), None, None),
+    "--executor": ("serial", ("serial", "process"), None, None),
     "--num-workers": (None, None, int, None),
     "--topology": (None, ("hierarchical", "clustered", "gossip"), None, None),
     "--aggregation": (None, ("ipw", "cluster_mix", "gossip_avg"), None, None),
@@ -75,7 +75,7 @@ SCENARIO_FLAGS = {
     "--num-clusters": ("num_clusters", "2", 2),
     "--mixing-weight": ("cluster_mixing_weight", "0.4", 0.4),
     "--gossip-degree": ("gossip_degree", "3", 3),
-    "--executor": ("executor", "thread", "thread"),
+    "--executor": ("executor", "process", "process"),
     "--num-workers": ("num_workers", "2", 2),
     "--fault-profile": ("fault_profile", "mild", "mild"),
     "--churn": ("churn_profile", "light", "light"),

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from repro.core.mach import MACHSampler
-from repro.faults import CHECKPOINT_VERSION, TrainerCheckpoint
+from repro.faults import (
+    CHECKPOINT_VERSION,
+    CheckpointIntegrityError,
+    TrainerCheckpoint,
+)
 from repro.hfl.config import HFLConfig
 from repro.hfl.telemetry import TelemetryRecorder
 from repro.sampling import UniformSampler
@@ -96,29 +100,35 @@ class TestCheckpointRoundTrip:
         assert rebuilt.aggregation_name == checkpoint.aggregation_name
         assert rebuilt.topology_state == checkpoint.topology_state
 
-    def test_legacy_v1_checkpoint_loads_as_hierarchical_ipw(self):
-        """Checkpoints written before the topology layer keep loading:
-        they default to the pair every pre-topology run implicitly used,
-        and re-save in the current layout."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_legacy_checkpoint_versions_rejected(self, version):
+        """Pre-v3 layouts (no open-population fields, no checksum) are
+        refused by name rather than loaded with guessed defaults."""
         trainer = build_trainer(UniformSampler())
         trainer.run(num_steps=4)
         payload = trainer.make_checkpoint(4).to_dict()
-        for key in ("topology_name", "aggregation_name", "topology_state"):
-            del payload[key]
-        # A real v1 file also predates the v3 open-population fields
-        # and the payload checksum.
         for key in ("churn_state", "stale_buffer", "robustness_counters",
                     "payload_sha256"):
             del payload[key]
-        payload["version"] = 1
-        loaded = TrainerCheckpoint.from_dict(payload)
-        assert loaded.version == CHECKPOINT_VERSION
-        assert loaded.topology_name == "hierarchical"
-        assert loaded.aggregation_name == "ipw"
-        assert loaded.topology_state == {}
-        # A hierarchical trainer resumes from it without complaint.
-        resumed = build_trainer(UniformSampler())
-        resumed.run(num_steps=8, resume_from=loaded)
+        payload["version"] = version
+        with pytest.raises(
+            ValueError, match=f"unsupported checkpoint version {version}"
+        ):
+            TrainerCheckpoint.from_dict(payload)
+
+    def test_checksum_and_version_are_required(self):
+        trainer = build_trainer(UniformSampler())
+        trainer.run(num_steps=4)
+        payload = trainer.make_checkpoint(4).to_dict()
+        # An edited payload with its checksum stripped must not load.
+        unchecked = dict(payload, step=99)
+        del unchecked["payload_sha256"]
+        with pytest.raises(CheckpointIntegrityError, match="no payload_sha256"):
+            TrainerCheckpoint.from_dict(unchecked)
+        unversioned = dict(payload)
+        del unversioned["version"]
+        with pytest.raises(ValueError, match=r"missing keys: \['version'\]"):
+            TrainerCheckpoint.from_dict(unversioned)
 
 
 class TestKillAndResume:

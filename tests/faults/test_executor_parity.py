@@ -2,7 +2,7 @@
 
 Fault decisions are drawn trainer-side from named ``(step, edge,
 device)`` seed streams, after the executor barrier — so for a fixed
-seed and fault profile, serial, thread and process runs must produce
+seed and fault profile, serial and process runs must produce
 byte-for-byte identical histories, models and fault telemetry.
 """
 
@@ -30,7 +30,7 @@ def run_with_executor(kind, fault_profile, num_steps=8):
 
 
 def test_executors_bit_identical_under_severe_faults():
-    """All three backends, every fault type enabled, one fixed seed."""
+    """Both backends, every fault type enabled, one fixed seed."""
     baseline = run_with_executor("serial", "severe")
     base_result, base_edges, base_cloud, base_telemetry = baseline
     # The profile must actually be doing something for this to be a
@@ -53,18 +53,17 @@ def test_executors_bit_identical_under_severe_faults():
         assert telemetry.state_dict() == base_telemetry.state_dict()
 
 
-def test_thread_matches_serial_with_mobility_dropout():
-    """Cheaper parity check exercised on every test run (no process
-    pool): thread backend vs serial under mobility-coupled dropout."""
+def test_process_matches_serial_with_mobility_dropout():
+    """Process backend vs serial under mobility-coupled dropout."""
     profile = "dropout=0.2,mobility=1.0,corruption=0.1"
     serial_result, serial_edges, serial_cloud, _ = run_with_executor(
         "serial", profile
     )
-    thread_result, thread_edges, thread_cloud, _ = run_with_executor(
-        "thread", profile
+    process_result, process_edges, process_cloud, _ = run_with_executor(
+        "process", profile
     )
-    assert thread_result.history.accuracy == serial_result.history.accuracy
-    assert thread_result.history.loss == serial_result.history.loss
-    for a, b in zip(thread_edges, serial_edges):
+    assert process_result.history.accuracy == serial_result.history.accuracy
+    assert process_result.history.loss == serial_result.history.loss
+    for a, b in zip(process_edges, serial_edges):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(thread_cloud, serial_cloud)
+    np.testing.assert_array_equal(process_cloud, serial_cloud)

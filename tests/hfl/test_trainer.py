@@ -133,7 +133,7 @@ class TestHFLTrainerBasics:
 class TestRuntimeBackends:
     """The repro.runtime determinism contract, end to end."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_backends_match_serial_history(self, backend):
         serial = build_trainer(UniformSampler(), seed=7).run(15)
         trainer = build_trainer(
@@ -161,7 +161,7 @@ class TestRuntimeBackends:
     def test_oracle_sampler_matches_serial(self):
         serial = build_trainer(MACHOracleSampler(), seed=5).run(10)
         trainer = build_trainer(
-            MACHOracleSampler(), seed=5, executor="thread", num_workers=2
+            MACHOracleSampler(), seed=5, executor="process", num_workers=2
         )
         with trainer:
             parallel = trainer.run(10)

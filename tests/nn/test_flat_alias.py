@@ -5,7 +5,7 @@ parameter is a numpy view into it, so whole-network reads/writes are
 single vector ops.  Aliasing must be transparent (bit-identical math),
 live (layer mutations visible through the buffer and vice versa) and
 transient (pickle/deepcopy re-alias into fresh private buffers — the
-contract the thread/process executors rely on).
+contract the process executor relies on).
 """
 
 import copy

@@ -89,15 +89,16 @@ class TestSpanHierarchy:
                 assert "worker" in device_span.attrs
                 assert device_span.duration >= 0
 
-    def test_worker_attribution_uses_pool_threads(self):
+    def test_worker_attribution_uses_pool_processes(self):
         obs = Observability.enabled()
-        run_once(obs=obs, steps=3, executor="thread", num_workers=2)
+        run_once(obs=obs, steps=3, executor="process", num_workers=2)
         workers = {
             s.attrs["worker"]
             for s in obs.tracer.spans
             if s.name == "device_update"
         }
-        assert workers and all("MainThread" not in w for w in workers)
+        assert workers
+        assert not workers & {"main", "MainProcess"}
 
     def test_no_spans_without_tracer(self):
         obs = Observability(events=EventLog(io.StringIO()))

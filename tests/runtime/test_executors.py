@@ -1,5 +1,7 @@
 """Tests for the repro.runtime executor subsystem."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from repro.runtime import (
     LocalUpdateItem,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     WorkerContext,
     WorkerError,
     make_executor,
@@ -80,11 +81,13 @@ class TestWorkerContext:
             context.run_item(model.flat_copy(), item)
 
     def test_clone_has_private_model(self):
+        """A pool worker's copy of the context (its pickle) owns its
+        scratch model and devices."""
         context, model = make_context()
-        clone = context.clone()
+        clone = pickle.loads(pickle.dumps(context))
         assert clone.model is not context.model
-        assert clone.devices is not context.devices  # fresh list, same members
-        assert clone.devices[0] is context.devices[0]
+        assert clone.devices[0] is not context.devices[0]
+        assert clone.master_seed == context.master_seed
         np.testing.assert_array_equal(
             clone.model.flat_copy(), context.model.flat_copy()
         )
@@ -117,16 +120,15 @@ class TestBackendEquivalence:
         context, model = make_context()
         plans = make_plans(model)
         with executor_factory() as executor:
-            executor.bind(context.clone())
+            executor.bind(context)
             results = executor.run_step(plans)
         assert len(results) == len(plans)
         return results
 
     def test_all_backends_bit_identical(self):
         serial = self.run_with(SerialExecutor)
-        threaded = self.run_with(lambda: ThreadExecutor(num_workers=3))
-        processes = self.run_with(lambda: ProcessExecutor(num_workers=2))
-        for parallel in (threaded, processes):
+        for workers in (2, 3):
+            parallel = self.run_with(lambda: ProcessExecutor(num_workers=workers))
             for round_serial, round_parallel in zip(serial, parallel):
                 assert round_serial.keys() == round_parallel.keys()
                 for device_id in round_serial:
@@ -149,8 +151,8 @@ class TestBackendEquivalence:
 
     def test_executor_reusable_across_steps(self):
         context, model = make_context()
-        with ThreadExecutor(num_workers=2) as executor:
-            executor.bind(context.clone())
+        with ProcessExecutor(num_workers=2) as executor:
+            executor.bind(context)
             first = executor.run_step(make_plans(model, step=0))
             second = executor.run_step(make_plans(model, step=1))
         assert first[0].keys() == second[0].keys()
@@ -202,10 +204,10 @@ class TestWorkerFailure:
         context, model = make_context()
         plans = make_plans(model, step=2)
         with ProcessExecutor(num_workers=2) as clean:
-            clean.bind(context.clone())
+            clean.bind(context)
             expected = clean.run_step(plans)
         with ProcessExecutor(num_workers=2) as failed_once:
-            failed_once.bind(context.clone())
+            failed_once.bind(context)
             with pytest.raises(WorkerError):
                 failed_once.run_step([self.bad_plan(model)])
             recovered = failed_once.run_step(plans)
@@ -308,7 +310,7 @@ class TestStepChunks:
 
 class TestLifecycle:
     def test_run_before_bind_rejected(self):
-        for executor in (SerialExecutor(), ThreadExecutor(1), ProcessExecutor(1)):
+        for executor in (SerialExecutor(), ProcessExecutor(1)):
             with pytest.raises(RuntimeError, match="bind"):
                 executor.run_step([])
 
@@ -327,10 +329,10 @@ class TestLifecycle:
         context_a, model = make_context(seed=0)
         context_b, _ = make_context(seed=1)
         plans = make_plans(model)
-        with ThreadExecutor(num_workers=2) as executor:
-            executor.bind(context_a.clone())
+        with ProcessExecutor(num_workers=2) as executor:
+            executor.bind(context_a)
             first = executor.run_step(plans)
-            executor.bind(context_b.clone())
+            executor.bind(context_b)
             second = executor.run_step(plans)
         device_id = next(iter(first[0]))
         # New master seed → new work-item streams → different results.

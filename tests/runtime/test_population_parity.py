@@ -1,5 +1,5 @@
 """City-scale engine parity: population-batched updates (MLP and the
-paper CNN) bit-identical to the per-device reference twin on all three
+paper CNN) bit-identical to the per-device reference twin on both
 executors and under kill/resume; top-k MACH and adaptive evaluation
 semantics."""
 
@@ -271,7 +271,7 @@ class TestCrossEdgeChunks:
 
     def run(self, executor, context, plans):
         with executor:
-            executor.bind(context.clone())
+            executor.bind(context)
             return [dict(r) for r in executor.run_step(plans)]
 
     @pytest.mark.parametrize("task", ["mnist", "cifar10", "mlp"])

@@ -24,7 +24,6 @@ from repro.runtime import (
     EXECUTOR_KINDS,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 
@@ -77,7 +76,7 @@ class TestAttributionAcrossBackends:
             executor.enable_worker_timings(granularity="round")
             executor.run_step(plans)
             timings = executor.drain_worker_timings()
-        # One record per round (serial/thread) or per worker chunk
+        # One record per round (serial) or per worker chunk
         # (process; here each chunk is one round), all marked device=-1
         # and covering every edge.
         assert all(t.device == -1 for t in timings)
@@ -122,7 +121,7 @@ class TestAttributionAcrossBackends:
 
     def test_timings_off_by_default(self):
         context, model = make_context()
-        with ThreadExecutor(num_workers=2) as executor:
+        with ProcessExecutor(num_workers=2) as executor:
             executor.bind(context)
             executor.run_step(make_plans(model))
             assert not executor.collects_worker_timings
@@ -136,10 +135,11 @@ class TestProfilerTransience:
         profiler = Profiler().activate()
         profiler.record_phase("execute", 1.0)
         context, _ = make_context()
-        clone = context.clone()
+        clone = pickle.loads(pickle.dumps(context))
         profiler.deactivate()
-        # Cloned contexts have no profiler attribute at all — workers
-        # reach the hooks only through the repro.prof process global.
+        # A worker's pickled context has no profiler attribute at all —
+        # workers reach the hooks only through the repro.prof process
+        # global.
         assert not hasattr(clone, "profiler")
 
     def test_pickled_profiler_arrives_inert_and_empty(self):

@@ -1,10 +1,9 @@
 """Coordinator lifecycle and the drained-queue bit-identity contract.
 
-The service executes every run on the trainer's incremental round
-pipeline — edge rounds are admitted as their results complete, finishes
-held in plan order — so a drained queue must be bit-identical to the
-synchronous barrier trainer on the same seed, on every executor
-backend.  Lifecycle control (pause / resume / stop) gates the loop at
+The service drives the trainer's step generator through the same
+barrier pipeline as the synchronous trainer, so a drained queue must be
+bit-identical to a synchronous run on the same seed, on both executor
+backends.  Lifecycle control (pause / resume / stop) gates the loop at
 step boundaries only, so it can never split an engine step.
 """
 
@@ -186,7 +185,7 @@ class TestDurableState:
 class TestDrainedQueueBitIdentity:
     """The acceptance bar: service run == synchronous trainer, bitwise."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_service_matches_synchronous_trainer(self, executor):
         scenario = tiny_scenario(
             executor=executor,

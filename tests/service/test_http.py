@@ -16,7 +16,9 @@ import urllib.request
 import pytest
 
 import repro.api as api
+from repro.experiments import runner
 from repro.experiments.runner import run_single
+from repro.hfl.config import HFLConfig
 from repro.service import (
     Coordinator,
     CoordinatorServer,
@@ -161,6 +163,20 @@ class TestErrors:
                 client._request("POST", "/v1/runs", body)
             assert excinfo.value.status == 400
             assert message in str(excinfo.value)
+        assert client.list_runs() == []
+
+    def test_retired_thread_executor_is_rejected_everywhere(
+        self, client, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(["run", "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="executor must be one of"):
+            HFLConfig(executor="thread")
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(preset="blobs-bench", overrides={"executor": "thread"})
+        assert excinfo.value.status == 400
         assert client.list_runs() == []
 
     @pytest.mark.parametrize(
@@ -309,4 +325,51 @@ class TestServedRecovery:
             assert coordinator.recover() == []
             assert coordinator.submit(scenario, sampler="uniform") != run_id
         finally:
+            coordinator.shutdown()
+
+    def test_unloadable_runs_fail_and_the_rest_recover(self, tmp_path):
+        """One bad run must not stop recovery: a manifest naming a
+        retired executor and a truncated manifest land in ``failed``
+        with their error, and the good run beside them resumes."""
+        runs = tmp_path / "state" / "runs"
+        good = tiny_scenario().to_dict()
+        retired = dict(good, executor="thread")
+        manifests = {"run-0001": good, "run-0002": retired}
+        for run_id, config in manifests.items():
+            (runs / run_id).mkdir(parents=True)
+            (runs / run_id / "run.json").write_text(json.dumps({
+                "run_id": run_id, "config": config, "sampler": "uniform",
+                "seed": 5, "stop_at_target": False, "preset": None,
+                "state": "running", "steps_run": 0, "error": None,
+            }))
+        (runs / "run-0002" / "metrics.jsonl").write_text("")
+        truncated = (runs / "run-0001" / "run.json").read_text()[:40]
+        (runs / "run-0003").mkdir()
+        (runs / "run-0003" / "run.json").write_text(truncated)
+
+        coordinator = Coordinator(state_dir=tmp_path / "state")
+        server = CoordinatorServer(coordinator, host="127.0.0.1", port=0)
+        server.serve_background()
+        try:
+            assert coordinator.recover() == ["run-0001"]
+            client = ServiceClient(server.url)
+            assert client.wait("run-0001", timeout=120.0).state == "completed"
+            for run_id, error in [
+                ("run-0002", "ValueError: executor must be one of"),
+                ("run-0003", "JSONDecodeError"),
+            ]:
+                status = client.status(run_id)
+                assert status.state == "failed"
+                assert error in status.error
+                manifest = json.loads((runs / run_id / "run.json").read_text())
+                assert manifest["state"] == "failed"
+                assert manifest["error"] == status.error
+            # The failed run's files stay, and a second pass skips it.
+            assert (runs / "run-0002" / "metrics.jsonl").is_file()
+            assert json.loads(
+                (runs / "run-0002" / "run.json").read_text()
+            )["config"]["executor"] == "thread"
+            assert coordinator.recover() == []
+        finally:
+            server.shutdown()
             coordinator.shutdown()

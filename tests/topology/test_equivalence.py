@@ -46,7 +46,7 @@ def assert_identical(a, b):
 class TestDefaultPairBitIdentity:
     """hierarchical+ipw vs the verbatim pre-topology trainer."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_matches_reference_twin(self, executor):
         config = BASE
         if executor != "serial":
@@ -66,10 +66,10 @@ class TestSeededDeterminism:
         assert_identical(run_single(config, "mach"), run_single(config, "mach"))
 
     @pytest.mark.parametrize("topology", ["clustered", "gossip"])
-    def test_thread_executor_matches_serial(self, topology):
+    def test_process_executor_matches_serial(self, topology):
         config = config_for(topology)
-        threaded = config.with_overrides(executor="thread", num_workers=2)
-        assert_identical(run_single(config, "mach"), run_single(threaded, "mach"))
+        pooled = config.with_overrides(executor="process", num_workers=2)
+        assert_identical(run_single(config, "mach"), run_single(pooled, "mach"))
 
     def test_different_seeds_diverge(self):
         config = config_for("gossip")
