@@ -23,7 +23,8 @@ which checks that (1) the flat-buffer parameter aliasing is live and
 survives pickle/deepcopy (the pool-worker contract) with the fused SGD
 step bit-identical to the reference update, (2) the optimized
 (aliased + batched) path reproduces the reference history exactly on
-both executor backends, with every CNN edge round stacking at
+both executor backends, with every CNN step stacking its
+participants into one pass and every edge round of it holding at
 least ``MIN_CNN_STACK`` devices (read from the telemetry's
 ``num_participants``), and (3) the existing checkpoint kill/resume
 determinism contract still holds on the optimized path.
@@ -57,7 +58,8 @@ from repro.hotpath import hotpath_disabled
 WORKLOADS = ("cnn", "mlp")
 
 #: The smoke's CNN cell must give every edge round at least this many
-#: participants, so every round runs the stacked conv path wide.
+#: participants, so the stacked conv path runs wide in every step —
+#: and still does in a step that falls back to one stack per round.
 MIN_CNN_STACK = 3
 
 
@@ -272,14 +274,20 @@ def run_smoke(args) -> int:
                 return 1
         print("        ok: both optimized backends match the reference bit for bit")
         stacked = [r.num_participants for r in telemetry.records]
+        per_step: Dict[int, int] = {}
+        for record in telemetry.records:
+            per_step[record.t] = per_step.get(record.t, 0) + record.num_participants
+        steps = sorted(per_step.values())
         print(
-            f"        edge rounds stack {min(stacked)}..{max(stacked)} devices"
+            f"        steps stack {steps[0]}..{steps[-1]} devices "
+            f"(edge rounds of {min(stacked)}..{max(stacked)})"
         )
         if workload == "cnn" and min(stacked) < MIN_CNN_STACK:
             # A round of one or two devices barely exercises the stacked
-            # Conv2d/MaxPool2d twins; more devices per edge fixes it.
+            # Conv2d/MaxPool2d twins when a step falls back to one stack
+            # per round; more devices per edge fixes it.
             print(
-                f"FATAL: a CNN edge round stacked {min(stacked)} devices "
+                f"FATAL: a CNN edge round held {min(stacked)} devices "
                 f"(< {MIN_CNN_STACK}); raise --devices or lower --edges",
                 file=sys.stderr,
             )
@@ -309,7 +317,7 @@ def run_smoke(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    # 20 devices on 2 edges: every CNN edge round stacks >= MIN_CNN_STACK.
+    # 20 devices on 2 edges: every CNN edge round holds >= MIN_CNN_STACK.
     parser.add_argument("--devices", type=int, default=20)
     parser.add_argument("--edges", type=int, default=2)
     parser.add_argument("--steps", type=int, default=6)

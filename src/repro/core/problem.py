@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.core.convergence import bound_minimizing_probabilities, sampling_objective
 from repro.utils.validation import check_positive
@@ -71,6 +70,10 @@ def solve_problem1(
     q_floor:
         Lower bound keeping the objective finite (q → 0 diverges).
     """
+    # scipy stays off the engine's import path: only this test oracle
+    # needs it, and importing scipy.optimize costs tens of MB of RSS.
+    from scipy.optimize import minimize
+
     g_sq = np.asarray(g_sq, dtype=float)
     if g_sq.ndim != 1 or g_sq.size == 0:
         raise ValueError(f"g_sq must be a non-empty vector, got shape {g_sq.shape}")

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import Dataset
 from repro.utils.rng import RngLike, as_generator
@@ -86,6 +85,8 @@ def _class_prototypes(
     channels, height, width = spec.input_shape
     protos = rng.standard_normal((spec.num_classes, channels, height, width))
     if spec.smoothness > 0:
+        from scipy import ndimage  # imported on use: scipy is heavy
+
         protos = ndimage.gaussian_filter(
             protos, sigma=(0, 0, spec.smoothness, spec.smoothness)
         )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_positive
@@ -131,6 +130,8 @@ def cluster_stations(
     nearest to any empty cluster's seed (k-means can drop clusters on
     degenerate inputs).
     """
+    from scipy.cluster.vq import kmeans2  # imported on use: scipy is heavy
+
     check_positive("num_edges", num_edges)
     if num_edges > len(stations):
         raise ValueError(

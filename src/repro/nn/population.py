@@ -382,8 +382,8 @@ class PopulationModel:
         ``xs`` is ``(I, D, B, ...)`` and ``ys`` ``(I, D, B)`` — all I
         pre-drawn minibatches for each of D devices.  ``start_model`` is
         one ``(P,)`` vector every device starts from, or a ``(D, P)``
-        matrix of per-device starts (a process chunk spanning several
-        edge rounds); each slice's math never reads another row, so
+        matrix of per-device starts (a step chunk spanning several edge
+        rounds); each slice's math never reads another row, so
         either way a row's result depends on its own start only.  Returns
         ``(final_models (D, P), losses (D, I), grad_sq_norms (D, I))``,
         each row bit-identical to the per-device reference loop.

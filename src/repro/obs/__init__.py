@@ -266,7 +266,7 @@ class Observability:
 
         ``telemetry`` (a recorder or ``None``) joins the subscribers; the
         executor collects the worker timings the sinks need (per item
-        for tracer spans, per round for the profiler); sync and payload
+        for tracer spans, per step chunk for the profiler); sync and payload
         metrics are labeled by the run's topology/aggregation pair.
         """
         self.telemetry = telemetry

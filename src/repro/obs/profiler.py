@@ -238,9 +238,10 @@ class Profiler:
 
         Worker clocks measure wall time inside the worker; CPU time is
         not available across process boundaries, so ``cpu_seconds``
-        stays zero for this site.  A process-pool chunk that spans
-        several edge rounds arrives as one ``edge=-1`` row and is
-        attributed to edge ``"-1"``.
+        stays zero for this site.  At round granularity a step chunk
+        that spans several edge rounds (the whole step on the serial
+        executor, one worker's share on the process pool) arrives as
+        one ``edge=-1`` row, so per-edge shares show it under ``"-1"``.
         """
         key = ("execute", "runtime", "device_update")
         stat = self._sites.get(key)

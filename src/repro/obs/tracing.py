@@ -201,7 +201,7 @@ class SpanTracer:
         """Synthesize ``edge_round`` → ``device_update`` spans under the
         current span from drained :class:`~repro.runtime.base.WorkerTiming`
         rows (durations from each worker's own clock).  Rows are grouped
-        by edge; a round-granular process chunk spanning several edges
+        by edge; a round-granular step chunk spanning several edges
         (``edge=-1``) becomes one ``edge_round`` span with ``edge=-1``."""
         by_edge: Dict[int, list] = {}
         for wt in timings:

@@ -7,12 +7,17 @@ once per time step, every edge's :class:`~repro.runtime.work_items
 .EdgeRoundPlan` and returns the per-round local-update results; the
 backend decides how the items are scheduled:
 
-- :class:`~repro.runtime.serial.SerialExecutor` — in-process loop, the
-  default and the reference semantics;
-- :class:`~repro.runtime.processes.ProcessExecutor` — a process pool;
-  device datasets and the scratch model ship once per worker, each
-  step's items split into at most one chunk per worker across edge
-  rounds, with the chunk's edge models once per chunk.
+- :class:`~repro.runtime.serial.SerialExecutor` — the whole step as one
+  chunk, run in process; the default;
+- :class:`~repro.runtime.processes.ProcessExecutor` — at most one chunk
+  per worker, run on a process pool; device datasets and the scratch
+  model ship once per worker, the chunk's edge models once per chunk.
+
+Both share the step pipeline: :func:`split_step` cuts a step's items,
+in plan order, into contiguous chunks across edge rounds, and
+:func:`run_chunk` runs one chunk as one stacked population pass
+(:meth:`~repro.runtime.work_items.WorkerContext.run_items`) in which
+each row starts from its own edge's model.
 
 All backends produce bit-identical results for a fixed master seed
 because every work item derives its own named random stream from
@@ -21,10 +26,19 @@ because every work item derives its own named random stream from
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.runtime.work_items import EdgeRoundPlan, RoundResults, WorkerContext
+import numpy as np
+
+from repro.hfl.device import LocalUpdateResult
+from repro.runtime.work_items import (
+    EdgeRoundPlan,
+    LocalUpdateItem,
+    RoundResults,
+    WorkerContext,
+)
 
 #: Backend names accepted by :func:`make_executor` and ``HFLConfig.executor``.
 EXECUTOR_KINDS = ("serial", "process")
@@ -39,13 +53,13 @@ class WorkerTiming(NamedTuple):
     and ``seconds`` is the unit's own monotonic-clock duration measured
     where it ran.  At ``"item"`` granularity a record covers one device's
     local-update loop; at ``"round"`` granularity ``device`` is ``-1``
-    and a record covers one edge round (serial) or one worker's
-    chunk of the step (process).  A process chunk may span several
-    edge rounds; its record then has ``edge=-1``, so consumers that
-    group by edge (the profiler's per-edge shares, the tracer's
-    ``edge_round`` spans) see it as one ``-1`` group.  Timings are
-    observability, not results: they never cross into aggregation, RNG
-    streams or checkpoints.
+    and a record covers one chunk of the step (:func:`split_step`): the
+    whole step on the serial backend, one worker's share on the process
+    pool.  A chunk may span several edge rounds; its record then has
+    ``edge=-1``, so consumers that group by edge (the profiler's
+    per-edge shares, the tracer's ``edge_round`` spans) see it as one
+    ``-1`` group.  Timings are observability, not results: they never
+    cross into aggregation, RNG streams or checkpoints.
     """
 
     step: int
@@ -78,6 +92,82 @@ class WorkerError(RuntimeError):
         self.edge = edge
 
 
+class StepChunk(NamedTuple):
+    """A contiguous run of one step's items, in plan order, that may span
+    edge rounds: item ``i`` belongs to plan ``owners[i]`` and starts from
+    ``starts[rows[i]]``, the start models of the plans from the chunk's
+    first round to its last."""
+
+    owners: Tuple[int, ...]
+    starts: Tuple[np.ndarray, ...]
+    items: Tuple[LocalUpdateItem, ...]
+    rows: Tuple[int, ...]
+
+
+#: One chunk's ``(device_id, result)`` pairs in item order, plus its timings.
+ChunkOutcome = Tuple[List[Tuple[int, LocalUpdateResult]], List[WorkerTiming]]
+
+
+def split_step(
+    plans: Sequence[EdgeRoundPlan], num_chunks: int
+) -> List[StepChunk]:
+    """Cut a step's items into at most ``num_chunks`` contiguous chunks
+    of near-equal size, across edge rounds; an empty step has none."""
+    owners = [index for index, plan in enumerate(plans) for _ in plan.items]
+    items = [item for plan in plans for item in plan.items]
+    num_chunks = min(num_chunks, len(items))
+    bounds = [0] + [
+        len(items) * k // num_chunks for k in range(1, num_chunks + 1)
+    ]
+    chunks: List[StepChunk] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        first, last = owners[lo], owners[hi - 1]
+        chunks.append(
+            StepChunk(
+                tuple(owners[lo:hi]),
+                tuple(plan.start_model for plan in plans[first : last + 1]),
+                tuple(items[lo:hi]),
+                tuple(owner - first for owner in owners[lo:hi]),
+            )
+        )
+    return chunks
+
+
+def run_chunk(
+    context: WorkerContext, chunk: StepChunk, timed: Optional[str], worker: str
+) -> ChunkOutcome:
+    """Run one chunk on ``context``, timed on the caller's clock.
+
+    ``timed`` is ``None`` (off), ``"item"`` or ``"round"``.  Untimed and
+    at ``"round"`` granularity the chunk runs as one stacked pass
+    (:meth:`WorkerContext.run_items`), ``"round"`` adding one
+    ``device=-1`` record for it (``edge=-1`` when it spans edges);
+    ``"item"`` runs and times the per-device loop.
+    """
+    starts, items, rows = chunk.starts, chunk.items, chunk.rows
+    if timed is None:
+        return context.run_items(starts, items, rows), []
+    clock = time.perf_counter
+    if timed == "round":
+        start = clock()
+        pairs = context.run_items(starts, items, rows)
+        seconds = clock() - start
+        edges = {item.edge for item in items}
+        edge = edges.pop() if len(edges) == 1 else -1
+        return pairs, [WorkerTiming(items[0].step, edge, -1, worker, seconds)]
+    pairs = []
+    timings: List[WorkerTiming] = []
+    for item, row in zip(items, rows):
+        start = clock()
+        pairs.append((item.device_id, context.run_item(starts[row], item)))
+        timings.append(
+            WorkerTiming(
+                item.step, item.edge, item.device_id, worker, clock() - start
+            )
+        )
+    return pairs, timings
+
+
 class Executor(ABC):
     """Runs the local-update work of HFL time steps.
 
@@ -85,10 +175,14 @@ class Executor(ABC):
     :class:`WorkerContext`, then :meth:`run_step` once per time step,
     then :meth:`close` (or use the executor as a context manager).
     Binding again replaces the context (worker pools are recycled).
+    A backend sets how many chunks a step splits into
+    (``num_workers``) and where they run (:meth:`_run_chunks`).
     """
 
     #: Backend identifier (one of :data:`EXECUTOR_KINDS`).
     name: str = "executor"
+    #: At most this many chunks per step, one per worker.
+    num_workers: int = 1
 
     def __init__(self) -> None:
         self._context: Optional[WorkerContext] = None
@@ -112,19 +206,29 @@ class Executor(ABC):
             raise RuntimeError("bind() must be called before running work")
         return self._context
 
-    @abstractmethod
     def run_step(self, plans: Sequence[EdgeRoundPlan]) -> List[RoundResults]:
         """Execute every plan's items; results align with ``plans``.
 
         Each returned dict maps device id → :class:`LocalUpdateResult`
-        for exactly the devices of the corresponding plan.  The call is
-        a barrier: all items complete before it returns.
-
-        Ownership: a backend may reuse the returned *list* as a per-step
-        buffer (the serial backend does); the per-round dicts and result
-        objects inside are fresh every step.  Callers that retain the
-        list across steps must copy it.
+        for exactly the devices of the corresponding plan, in item
+        order.  The call is a barrier: all items complete before it
+        returns.
         """
+        self.context  # fail fast before touching any worker
+        timed = self._timing_granularity if self._collect_timings else None
+        chunks = split_step(plans, self.num_workers)
+        results: List[RoundResults] = [{} for _ in plans]
+        for chunk, (pairs, timings) in zip(chunks, self._run_chunks(chunks, timed)):
+            for index, (device_id, result) in zip(chunk.owners, pairs):
+                results[index][device_id] = result
+            self._timings.extend(timings)
+        return results
+
+    @abstractmethod
+    def _run_chunks(
+        self, chunks: List[StepChunk], timed: Optional[str]
+    ) -> List[ChunkOutcome]:
+        """:func:`run_chunk` every chunk; outcomes align with ``chunks``."""
 
     # -- worker-timing attribution (observability opt-in) --------------------
 
@@ -138,14 +242,15 @@ class Executor(ABC):
 
         ``granularity="item"`` times every device's local update
         individually — full attribution, but it forces the backends off
-        their fused/population-batched round paths, which costs real
-        wall-clock.  ``granularity="round"`` times whole edge rounds
-        (one clock pair per round, or per worker chunk of the step on
-        the process pool) on top of the unchanged fast path — near-zero
-        overhead, per-edge attribution only (``device=-1``; ``edge=-1``
-        for a chunk spanning edges).  The continuous profiler uses
-        ``"round"``; span tracing, which needs per-device spans, uses
-        ``"item"``.
+        their stacked population passes, which costs real wall-clock.
+        ``granularity="round"`` times whole chunks (one clock pair per
+        step on the serial backend, per worker chunk of the step on the
+        process pool) on top of the unchanged fast path — near-zero
+        overhead, attribution per chunk only (``device=-1``; ``edge=-1``
+        for a chunk spanning edges, so a step whose participants sit on
+        several edges reports one ``-1`` group).  The continuous
+        profiler uses ``"round"``; span tracing, which needs per-device
+        spans, uses ``"item"``.
         Calling with ``"item"`` wins over an earlier ``"round"`` call.
         """
         if granularity not in ("item", "round"):

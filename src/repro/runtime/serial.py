@@ -1,78 +1,28 @@
-"""The serial backend: reference semantics, zero overhead, the default."""
+"""The serial backend: the whole step as one chunk, run in process."""
 
 from __future__ import annotations
 
-import time
-from typing import List, Sequence
+from typing import List, Optional
 
-from repro.runtime.base import Executor, WorkerTiming
-from repro.runtime.work_items import EdgeRoundPlan, RoundResults, WorkerContext
+from repro.runtime.base import ChunkOutcome, Executor, StepChunk, run_chunk
 
 
 class SerialExecutor(Executor):
-    """Run every work item in the calling thread, in plan order.
+    """Run a step's items in the calling thread as one chunk.
 
-    Uses the trainer's own scratch model directly (no clone) — and with
-    it the trainer model's canonical flat parameter buffer, aliased once
-    and reused for every device's fused local-update loop.  An
-    ``executor=None`` / ``executor="serial"`` run costs exactly what the
-    pre-runtime engine did.  The parallel backends are defined to be
-    bit-identical to this one for the same master seed.
-
-    The returned results list is a reusable buffer owned by the
-    executor: it is cleared and refilled on every :meth:`run_step`, so
-    callers that retain results across steps must copy the list (the
-    per-round dicts and their :class:`~repro.hfl.device
-    .LocalUpdateResult` values are fresh each step and safe to keep).
+    The chunk holds every item of the step in plan order, across edge
+    rounds, and runs as one stacked population pass in which each row
+    starts from its own edge's model (a step that cannot stack as a
+    whole runs one round at a time; see
+    :meth:`~repro.runtime.work_items.WorkerContext.run_items`).  It uses
+    the trainer's own scratch model directly (no clone) — and with it
+    the trainer model's canonical flat parameter buffer.  The process
+    backend is bit-identical to this one for the same master seed.
     """
 
     name = "serial"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._results: List[RoundResults] = []
-
-    def run_step(self, plans: Sequence[EdgeRoundPlan]) -> List[RoundResults]:
-        context = self.context
-        results = self._results
-        results.clear()
-        if self._collect_timings:
-            if self._timing_granularity == "round":
-                # One clock pair per round on top of the fused fast
-                # path — the profiler's near-zero-overhead mode.
-                clock = time.perf_counter
-                for plan in plans:
-                    start = clock()
-                    results.append(context.run_round(plan))
-                    self._timings.append(
-                        WorkerTiming(
-                            plan.step, plan.edge, -1, "main",
-                            clock() - start,
-                        )
-                    )
-                return results
-            for plan in plans:
-                results.append(self._run_round_timed(context, plan))
-            return results
-        for plan in plans:
-            results.append(context.run_round(plan))
-        return results
-
-    def _run_round_timed(
-        self, context: WorkerContext, plan: EdgeRoundPlan
-    ) -> RoundResults:
-        """Per-item timed variant of ``context.run_round`` (obs opt-in)."""
-        clock = time.perf_counter
-        round_results: RoundResults = {}
-        for item in plan.items:
-            start = clock()
-            round_results[item.device_id] = context.run_item(
-                plan.start_model, item
-            )
-            self._timings.append(
-                WorkerTiming(
-                    item.step, item.edge, item.device_id, "main",
-                    clock() - start,
-                )
-            )
-        return round_results
+    def _run_chunks(
+        self, chunks: List[StepChunk], timed: Optional[str]
+    ) -> List[ChunkOutcome]:
+        return [run_chunk(self.context, chunk, timed, "main") for chunk in chunks]

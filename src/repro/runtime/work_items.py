@@ -206,8 +206,7 @@ class WorkerContext:
 
         ``starts`` is the start model every item downloads or, with
         ``rows``, a sequence of start models of which item ``i`` starts
-        from ``starts[rows[i]]`` — one process chunk spans several edge
-        rounds.  Such a chunk runs as one stacked pass when it is
+        from ``starts[rows[i]]`` — a step chunk spans several edge rounds.  Such a chunk runs as one stacked pass when it is
         homogeneous as a whole, and otherwise one start model's slice
         at a time (each slice stacked when it can be).
 
@@ -264,8 +263,3 @@ class WorkerContext:
             )
             for slot, item in enumerate(items)
         ]
-
-    def run_round(self, plan: EdgeRoundPlan) -> RoundResults:
-        """Execute a whole round (items in plan order), population-batched
-        on the optimized engine."""
-        return dict(self.run_items(plan.start_model, plan.items))

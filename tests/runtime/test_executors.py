@@ -8,6 +8,7 @@ import pytest
 from repro.data.synthetic import make_blobs_dataset
 from repro.hfl.device import Device
 from repro.nn.architectures import build_mlp
+from repro.nn.population import PopulationModel
 from repro.runtime import (
     EXECUTOR_KINDS,
     EdgeRoundPlan,
@@ -21,10 +22,13 @@ from repro.runtime import (
 )
 
 
-def make_context(num_devices=6, seed=0):
+def make_context(num_devices=6, seed=0, small_device=None):
+    """Devices hold 20 samples each; ``small_device`` holds 2, fewer
+    than a batch of 4, which keeps it out of any stacked pass."""
     rng = np.random.default_rng(seed)
     devices = [
-        Device(m, make_blobs_dataset(20, rng=rng)) for m in range(num_devices)
+        Device(m, make_blobs_dataset(2 if m == small_device else 20, rng=rng))
+        for m in range(num_devices)
     ]
     model = build_mlp(16, hidden=(8,), rng=rng)
     return WorkerContext(model, devices, master_seed=seed), model
@@ -221,8 +225,8 @@ class TestWorkerFailure:
 
 
 class TestStepChunks:
-    """The process pool splits a step's items into at most one chunk per
-    worker, cutting across edge rounds."""
+    """A step's items split into chunks across edge rounds: one on the
+    serial backend, at most one per worker on the process pool."""
 
     def plans(self, model, step=3):
         # Three uneven rounds, 8 items: 3 workers cut every round boundary.
@@ -258,6 +262,77 @@ class TestStepChunks:
             empty = EdgeRoundPlan(3, 0, model.flat_copy(), ())
             assert executor.run_step([empty]) == [{}]
             assert submitted == []
+
+    @staticmethod
+    def count_stacked_passes(monkeypatch):
+        """Record the population size of every stacked pass."""
+        passes = []
+        original = PopulationModel.local_updates
+
+        def counted(self, start_model, xs, *args):
+            passes.append(xs.shape[1])
+            return original(self, start_model, xs, *args)
+
+        monkeypatch.setattr(PopulationModel, "local_updates", counted)
+        return passes
+
+    @staticmethod
+    def assert_matches_per_device(context, plans, results):
+        assert len(results) == len(plans)
+        for plan, got in zip(plans, results):
+            assert list(got) == [item.device_id for item in plan.items]
+            for item in plan.items:
+                want = context.run_item(plan.start_model, item)
+                np.testing.assert_array_equal(
+                    got[item.device_id].final_model, want.final_model
+                )
+                assert got[item.device_id].grad_sq_norms == want.grad_sq_norms
+                assert got[item.device_id].mean_loss == want.mean_loss
+
+    def test_serial_step_is_one_stacked_pass(self, monkeypatch):
+        context, model = make_context(num_devices=8)
+        plans = self.plans(model)
+        passes = self.count_stacked_passes(monkeypatch)
+        with SerialExecutor() as executor:
+            executor.bind(context)
+            results = executor.run_step(plans)
+        assert passes == [8]
+        self.assert_matches_per_device(context, plans, results)
+
+    def test_serial_heterogeneous_step_stacks_round_by_round(
+        self, monkeypatch
+    ):
+        # Device 3, alone on edge 1, cannot fill a batch: the step cannot
+        # stack as a whole, so edges 0 and 2 stack separately.
+        context, model = make_context(num_devices=8, small_device=3)
+        plans = self.plans(model)
+        passes = self.count_stacked_passes(monkeypatch)
+        with SerialExecutor() as executor:
+            executor.bind(context)
+            results = executor.run_step(plans)
+        assert passes == [3, 4]
+        self.assert_matches_per_device(context, plans, results)
+
+    def test_serial_empty_and_one_item_steps(self, monkeypatch):
+        context, model = make_context(num_devices=8)
+        passes = self.count_stacked_passes(monkeypatch)
+        empty = EdgeRoundPlan(3, 0, model.flat_copy(), ())
+        one = EdgeRoundPlan(
+            3, 1, model.flat_copy(), (LocalUpdateItem(3, 1, 5, 2, 0.05, 4),)
+        )
+        with SerialExecutor() as executor:
+            executor.bind(context)
+            executor.enable_worker_timings(granularity="round")
+            assert executor.run_step([]) == []
+            assert executor.run_step([empty]) == [{}]
+            assert executor.drain_worker_timings() == []
+            results = executor.run_step([empty, one])
+            timings = executor.drain_worker_timings()
+        assert passes == []
+        assert results[0] == {}
+        self.assert_matches_per_device(context, [empty, one], results)
+        # A one-edge step keeps its edge in the round record.
+        assert [(t.step, t.edge, t.device) for t in timings] == [(3, 1, -1)]
 
     def test_round_timings_one_record_per_chunk(self):
         context, model = make_context(num_devices=8)

@@ -218,8 +218,10 @@ class TestRunItemsFallbacks:
 
 
 class TestCrossEdgeChunks:
-    """Process chunks cut through edge rounds whose start models differ;
-    each device's result still equals the serial executor's bit for bit."""
+    """Chunks cut through edge rounds whose start models differ — the
+    serial executor's one chunk per step, the process pool's one per
+    worker; each device's result still equals the per-device loop's
+    bit for bit."""
 
     #: Items per edge round: with 12 items, 2 workers cut edge 1 and
     #: 3 workers cut edges 1 and 2.
@@ -274,6 +276,16 @@ class TestCrossEdgeChunks:
             executor.bind(context)
             return [dict(r) for r in executor.run_step(plans)]
 
+    @staticmethod
+    def per_device(context, plans):
+        return [
+            {
+                item.device_id: context.run_item(plan.start_model, item)
+                for item in plan.items
+            }
+            for plan in plans
+        ]
+
     @pytest.mark.parametrize("task", ["mnist", "cifar10", "mlp"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_cross_edge_chunks_match_serial(self, rng, task, workers):
@@ -283,6 +295,18 @@ class TestCrossEdgeChunks:
         assert context._batchable(items)  # each chunk is one stacked pass
         serial = self.run(SerialExecutor(), context, plans)
         self.assert_same(self.run(ProcessExecutor(workers), context, plans), serial)
+
+    @pytest.mark.parametrize("task", ["mnist", "cifar10", "mlp"])
+    @pytest.mark.parametrize("small_device", [None, 5])
+    def test_serial_step_matches_per_device(self, rng, task, small_device):
+        """One stacked pass over the whole step (or, with device 5
+        clipping its batch, one per homogeneous round)."""
+        context = self.context(task, rng, small_device=small_device)
+        plans = self.plans(context, rng)
+        self.assert_same(
+            self.run(SerialExecutor(), context, plans),
+            self.per_device(context, plans),
+        )
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_unbatchable_chunk_falls_back_and_matches(self, rng, workers):

@@ -3,8 +3,9 @@
 Three contracts:
 
 - every backend attributes timings to the right ``(step, edge, device)``
-  coordinates at item granularity, and to ``(step, edge, device=-1)``
-  at the cheap round granularity;
+  coordinates at item granularity, and to one ``(step, edge, device=-1)``
+  record per chunk at the cheap round granularity (``edge=-1`` for a
+  chunk spanning edges);
 - timing collection (either granularity) never changes results — the
   timed paths produce bit-identical local updates;
 - profiling is invisible to the kill/resume replay: a checkpointed run
@@ -76,13 +77,16 @@ class TestAttributionAcrossBackends:
             executor.enable_worker_timings(granularity="round")
             executor.run_step(plans)
             timings = executor.drain_worker_timings()
-        # One record per round (serial) or per worker chunk
-        # (process; here each chunk is one round), all marked device=-1
-        # and covering every edge.
+        # One record per chunk, marked device=-1.  Serial runs the step
+        # as one chunk, which spans both edges; the process pool's two
+        # chunks here are one round each.
         assert all(t.device == -1 for t in timings)
-        assert {(t.step, t.edge) for t in timings} == {
-            (plan.step, plan.edge) for plan in plans
-        }
+        if kind == "serial":
+            assert [(t.step, t.edge) for t in timings] == [(0, -1)]
+        else:
+            assert {(t.step, t.edge) for t in timings} == {
+                (plan.step, plan.edge) for plan in plans
+            }
 
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     @pytest.mark.parametrize("granularity", ["item", "round"])
