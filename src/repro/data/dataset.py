@@ -66,12 +66,14 @@ class Dataset:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Pre-draw ``num_batches`` minibatches as stacked ``(I, B, …)`` arrays.
 
-        Makes exactly the same ``rng.integers`` calls, in the same
-        order, as ``num_batches`` successive :meth:`sample_batch` calls
-        — so the random stream (and therefore every drawn index) is
-        bit-identical to the sequential reference — then gathers all
-        features/labels in one fancy-indexing pass.  This feeds the
-        batched Eq. (4) local-update loop.
+        One ``rng.integers`` call of shape ``(I, B)`` draws every index.
+        ``Generator.integers`` fills its output one element at a time
+        from the bit generator, which keeps any spare 32-bit half in its
+        own state, so this call consumes the stream exactly as
+        ``num_batches`` successive :meth:`sample_batch` calls do: every
+        drawn index, and the stream left behind, is bit-identical to the
+        sequential reference.  All features/labels are then gathered in
+        one fancy-indexing pass for the batched Eq. (4) local updates.
         """
         if len(self) == 0:
             raise ValueError("cannot sample from an empty dataset")
@@ -79,9 +81,7 @@ class Dataset:
             raise ValueError(f"num_batches must be positive, got {num_batches}")
         rng = as_generator(rng)
         size = min(batch_size, len(self))
-        idx = np.stack(
-            [rng.integers(0, len(self), size=size) for _ in range(num_batches)]
-        )
+        idx = rng.integers(0, len(self), size=(num_batches, size))
         return self.x[idx], self.y[idx]
 
     def class_distribution(self) -> np.ndarray:

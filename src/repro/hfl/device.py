@@ -72,9 +72,10 @@ class Device:
             # w^t_n and the fused sgd_lr mode applies every
             # w^{t,τ+1} = w^{t,τ} − γ g step as a single vector op — no
             # per-τ load_flat walk.  All I minibatches are
-            # pre-drawn in one gather; the index draws make the same
-            # rng.integers calls in the same order as the reference
-            # loop, keeping the random stream bit-identical.
+            # pre-drawn by one (I, B) rng.integers call and one gather;
+            # that call consumes the stream element by element exactly
+            # like the reference loop's I calls, so every index is
+            # bit-identical.
             model.load_flat(start_model)
             xs, ys = self.dataset.sample_batches(
                 local_epochs, batch_size, rng=rng

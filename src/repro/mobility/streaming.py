@@ -216,31 +216,9 @@ class StreamingTrace:
     def _row(self, wrapped: int) -> np.ndarray:
         return self._chunk_for(wrapped)[wrapped % self.chunk_steps]
 
-    def _step_index(self, wrapped: int) -> Tuple[List[np.ndarray], np.ndarray]:
-        # Same grouping algorithm (stable argsort + cumsum bounds) as
-        # MobilityTrace._step_index, so member order is identical.
-        index = self._membership.get(wrapped)
-        if index is None:
-            # Same documented trace-scan hotspot as the dense backend.
-            with profile_site("mobility", "membership_index"):
-                row = self._row(wrapped)
-                counts = np.bincount(row, minlength=self.num_edges)
-                order = np.argsort(row, kind="stable")
-                bounds = np.concatenate(([0], np.cumsum(counts)))
-                members = [
-                    order[bounds[n] : bounds[n + 1]]
-                    for n in range(self.num_edges)
-                ]
-                for arr in members:
-                    arr.flags.writeable = False
-                counts.flags.writeable = False
-                index = (members, counts)
-            self._membership[wrapped] = index
-            while len(self._membership) > self.MEMBERSHIP_CACHE_STEPS:
-                self._membership.popitem(last=False)
-        else:
-            self._membership.move_to_end(wrapped)
-        return index
+    # The dense backend's LRU membership index over this class's _row,
+    # so member order is identical on both backends.
+    _step_index = MobilityTrace._step_index
 
     # ---- MobilityTrace query surface -------------------------------------
 

@@ -89,9 +89,14 @@ class MobilityTrace:
         One stable argsort groups the step's devices by edge; within a
         group the original (ascending device-id) order survives, so each
         member array is exactly what ``np.flatnonzero(row == edge)``
-        returns — without re-scanning the row once per edge.  The member
-        arrays are frozen (non-writeable) because they are shared with
-        every caller; take a copy before mutating.
+        returns — without re-scanning the row once per edge.  The row is
+        sorted in the narrowest unsigned dtype that holds every edge
+        index: numpy's stable sort of 8- and 16-bit integers is a radix
+        sort, and a stable permutation is unique, so the members do not
+        depend on the dtype.  The member arrays are frozen (non-writeable)
+        because they are shared with every caller; take a copy before
+        mutating.  :class:`~repro.mobility.streaming.StreamingTrace`
+        shares this method through its own ``_row``.
         """
         index = self._membership.get(wrapped)
         if index is None:
@@ -99,9 +104,12 @@ class MobilityTrace:
             # city-scale hotspot, self-reported to the continuous
             # profiler when one is installed (no-op otherwise).
             with profile_site("mobility", "membership_index"):
-                row = self.assignments[wrapped]
+                row = self._row(wrapped)
                 counts = np.bincount(row, minlength=self.num_edges)
-                order = np.argsort(row, kind="stable")
+                order = np.argsort(
+                    row.astype(np.min_scalar_type(self.num_edges - 1)),
+                    kind="stable",
+                )
                 bounds = np.concatenate(([0], np.cumsum(counts)))
                 members = [
                     order[bounds[n] : bounds[n + 1]]
@@ -117,6 +125,9 @@ class MobilityTrace:
         else:
             self._membership.move_to_end(wrapped)
         return index
+
+    def _row(self, wrapped: int) -> np.ndarray:
+        return self.assignments[wrapped]
 
     def devices_at(self, t: int, edge: int) -> np.ndarray:
         """The device set ``M^t_n`` (sorted device indices).

@@ -50,10 +50,14 @@ class SeedSequenceFactory:
         if master_seed is not None and master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {master_seed}")
         self.master_seed = master_seed
+        # (step, edge, key of "step/{step}/edge/{edge}/device/") of the
+        # last work item: a step's items arrive grouped by edge round.
+        self._work_prefix = (None, None, 0)
 
-    def _name_key(self, name: str) -> int:
-        # Stable, platform-independent 63-bit hash of the stream name.
-        key = 0
+    @staticmethod
+    def _name_key(name: str, key: int = 0) -> int:
+        # Stable, platform-independent 63-bit hash of the stream name;
+        # a name's key continues the key of any prefix of it.
         for ch in name:
             key = (key * 1000003 + ord(ch)) % (2**63 - 1)
         return key
@@ -90,8 +94,18 @@ class SeedSequenceFactory:
         only on ``(master_seed, step, edge, device)`` — never on which
         worker ran the item or in what order items completed.  Serial
         and parallel runs therefore produce bit-identical histories.
+
+        The key equals ``_name_key(work_item_name(step, edge, device))``,
+        but the shared ``step/{s}/edge/{e}/device/`` prefix is folded
+        once per edge round and only the device digits per item.
         """
-        return self.seed_sequence(self.work_item_name(step, edge, device))
+        cached = self._work_prefix
+        if cached[:2] != (step, edge) or device < 0:
+            name = self.work_item_name(step, edge, device)
+            cached = (step, edge, self._name_key(name[: name.rindex("/") + 1]))
+            self._work_prefix = cached
+        key = self._name_key(str(device), cached[2])
+        return np.random.SeedSequence(entropy=self.master_seed, spawn_key=(key,))
 
     def work_item_generator(
         self, step: int, edge: int, device: int

@@ -61,19 +61,21 @@ class TestDataset:
     def test_sample_batches_matches_sequential_draws(self):
         """Pre-drawing I batches consumes the RNG stream exactly like I
         sequential sample_batch calls — the bit-identity argument for
-        the batched local-update path."""
+        the batched local-update path (odd B and B > n included)."""
         ds = make(10)
-        gen_a = np.random.default_rng(9)
-        xs, ys = ds.sample_batches(4, 3, rng=gen_a)
-        gen_b = np.random.default_rng(9)
-        for tau in range(4):
-            x, y = ds.sample_batch(3, rng=gen_b)
-            np.testing.assert_array_equal(xs[tau], x)
-            np.testing.assert_array_equal(ys[tau], y)
-        # Subsequent draws from both generators still agree.
-        np.testing.assert_array_equal(
-            gen_a.integers(0, 100, size=5), gen_b.integers(0, 100, size=5)
-        )
+        for num_batches in (1, 4, 10):
+            for batch_size in (1, 3, 7, 10, 16):
+                gen_a = np.random.default_rng(9)
+                xs, ys = ds.sample_batches(num_batches, batch_size, rng=gen_a)
+                gen_b = np.random.default_rng(9)
+                for tau in range(num_batches):
+                    x, y = ds.sample_batch(batch_size, rng=gen_b)
+                    np.testing.assert_array_equal(xs[tau], x)
+                    np.testing.assert_array_equal(ys[tau], y)
+                # Subsequent draws from both generators still agree.
+                np.testing.assert_array_equal(
+                    gen_a.integers(0, 100, size=5), gen_b.integers(0, 100, size=5)
+                )
 
     def test_sample_batches_shapes(self):
         ds = make(10)

@@ -157,6 +157,28 @@ class TestMembershipIndex:
                 counts, [trace.devices_at(t, n).size for n in range(edges)]
             )
 
+    @pytest.mark.parametrize("edges", [1, 8, 255, 256, 257, 300])
+    def test_radix_index_matches_flatnonzero_on_both_backends(self, edges):
+        """The index sorts rows in uint8 up to 256 edges and uint16 past
+        it; members must not depend on that, on either backend."""
+        from repro.mobility.streaming import DenseChunkProvider, StreamingTrace
+
+        rng = np.random.default_rng(edges)
+        grid = rng.integers(0, edges, size=(3, 2000))
+        grid[0, :edges] = np.arange(edges)  # every edge, the top one included
+        dense = MobilityTrace(grid, num_edges=edges)
+        stream = StreamingTrace(DenseChunkProvider(grid, edges), chunk_steps=2)
+        for t in range(4):
+            row = grid[t % 3]
+            for trace in (dense, stream):
+                np.testing.assert_array_equal(
+                    trace.counts_at(t), np.bincount(row, minlength=edges)
+                )
+                for n in range(edges):
+                    np.testing.assert_array_equal(
+                        trace.devices_at(t, n), np.flatnonzero(row == n)
+                    )
+
     def test_hotpath_and_reference_paths_agree(self):
         from repro.hotpath import hotpath_disabled
 

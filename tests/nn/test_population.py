@@ -227,10 +227,12 @@ class TestSwitch:
 class TestDatasetStackedSampling:
     def test_sample_batches_matches_sequential_draws(self, rng):
         dataset = make_blobs_dataset(40, num_features=16, num_classes=10, rng=rng)
-        rng_a = np.random.default_rng(9)
-        rng_b = np.random.default_rng(9)
-        xs, ys = dataset.sample_batches(4, 8, rng=rng_a)
-        for tau in range(4):
-            x, y = dataset.sample_batch(8, rng=rng_b)
-            np.testing.assert_array_equal(xs[tau], x)
-            np.testing.assert_array_equal(ys[tau], y)
+        for batch_size in (5, 8, 39, 64):  # odd B and B > n included
+            rng_a = np.random.default_rng(9)
+            rng_b = np.random.default_rng(9)
+            xs, ys = dataset.sample_batches(4, batch_size, rng=rng_a)
+            for tau in range(4):
+                x, y = dataset.sample_batch(batch_size, rng=rng_b)
+                np.testing.assert_array_equal(xs[tau], x)
+                np.testing.assert_array_equal(ys[tau], y)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state

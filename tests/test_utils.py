@@ -94,10 +94,30 @@ class TestWorkItemStreams:
         named = factory.generator("step/4/edge/1/device/6").normal()
         assert factory.work_item_generator(4, 1, 6).normal() == named
 
+    def test_prefix_extended_key_equals_name_key(self):
+        """The cached ``step/s/edge/e/device/`` prefix extended by the
+        device digits is the hash of the full canonical name, through
+        cache hits (same round) and misses (new step or edge)."""
+        factory = SeedSequenceFactory(5)
+        big = 10**6
+        coordinates = [
+            (0, 0, 0), (0, 0, 7), (0, 0, big), (0, 3, 0), (3, 3, 9),
+            (3, 3, 12), (9, 0, 4), (big, 2, 5), (big, 2, big + 3),
+            (big, big + 1, 1), (12, 3, 1), (1, 23, 1), (0, 0, 0),
+        ]
+        for step, edge, device in coordinates:
+            sequence = factory.work_item_sequence(step, edge, device)
+            name = SeedSequenceFactory.work_item_name(step, edge, device)
+            assert sequence.spawn_key == (factory._name_key(name),)
+            assert sequence.entropy == factory.master_seed
+
     def test_negative_coordinates_rejected(self):
         factory = SeedSequenceFactory(0)
         with pytest.raises(ValueError, match="non-negative"):
             factory.work_item_sequence(-1, 0, 0)
+        factory.work_item_sequence(2, 1, 0)  # caches the (2, 1) prefix
+        with pytest.raises(ValueError, match="non-negative"):
+            factory.work_item_sequence(2, 1, -1)
         with pytest.raises(ValueError, match="non-negative"):
             factory.round_generator(0, -1, "participation")
 
