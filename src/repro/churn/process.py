@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.churn.profile import ChurnProfile
 from repro.utils.rng import SeedSequenceFactory
+from repro.utils.validation import check_state_array
 
 __all__ = ["ChurnProcess", "ChurnStep", "make_churn_process"]
 
@@ -168,9 +169,9 @@ class ChurnProcess:
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-compatible snapshot of the population state."""
+        """Snapshot of the population state (the mask as a bool array)."""
         return {
-            "active_mask": [int(v) for v in self.active_mask],
+            "active_mask": self.active_mask.copy(),
             "total_joined": self._total_joined,
             "total_left": self._total_left,
         }
@@ -178,15 +179,9 @@ class ChurnProcess:
     def load_state_dict(self, state: dict) -> None:
         """Restore :meth:`state_dict` output (after :meth:`bind`)."""
         self._require_bound()
-        mask = np.asarray(
-            [bool(int(v)) for v in state["active_mask"]], dtype=bool
+        self._active = check_state_array(
+            "active mask", state.get("active_mask"), bool, (self.num_devices,)
         )
-        if mask.shape != (self.num_devices,):
-            raise ValueError(
-                f"checkpoint active mask covers {mask.size} devices, "
-                f"process is bound to {self.num_devices}"
-            )
-        self._active = mask
         self._total_joined = int(state.get("total_joined", 0))
         self._total_left = int(state.get("total_left", 0))
 

@@ -43,10 +43,32 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.utils.validation import check_membership, check_positive
+from repro.utils.validation import (
+    check_membership,
+    check_positive,
+    check_state_array,
+)
 
 #: Valid exploitation-window modes.
 WINDOW_MODES = ("recent", "lifetime")
+
+#: :meth:`ExperienceTracker.state_dict` columns and their dtypes.
+_STATE_COLUMNS = {
+    "buffer_len": np.int64,
+    "buffer": np.float64,
+    "window_best": np.float64,
+    "window_participated": np.bool_,
+    "lifetime_best": np.float64,
+    "participation_count": np.int64,
+    "exploit": np.float64,
+    "has_exploit": np.bool_,
+    "estimate": np.float64,
+    "has_estimate": np.bool_,
+}
+#: Shared zero-length buffer: :meth:`ExperienceTracker.record` replaces
+#: a row's buffer before writing once it outgrows it, so one empty
+#: array can stand for every empty row.
+_EMPTY_BUFFER = np.empty(0)
 
 
 class DeviceExperience:
@@ -278,10 +300,11 @@ class ExperienceTracker:
     population, so the per-sync refresh (:meth:`sync_all`) and the
     per-plan reads (:meth:`estimates` / :meth:`audit_components`) are
     single vectorized ops instead of Python loops over
-    :class:`DeviceExperience` objects.  The public surface, numerical
-    behavior and :meth:`state_dict` JSON schema are unchanged from the
-    scalar implementation (:class:`DeviceExperience` remains the
-    per-device reference twin, tested for exact agreement).
+    :class:`DeviceExperience` objects.  The public surface and numerical
+    behavior are unchanged from the scalar implementation
+    (:class:`DeviceExperience` remains the per-device reference twin,
+    tested for exact agreement); :meth:`state_dict` is columnar, one
+    array per field.
 
     Two bit-stability choices keep kill/resume and the reference twin
     exact: the running buffer average is ``np.mean`` over the *full*
@@ -314,7 +337,7 @@ class ExperienceTracker:
         n = self.num_devices
         #: Per-device gradient experience buffers G^t_m (Eq. (14)):
         #: growable float arrays, valid up to ``_buffer_len[m]``.
-        self._buffer_data: List[np.ndarray] = [np.empty(0) for _ in range(n)]
+        self._buffer_data: List[np.ndarray] = [_EMPTY_BUFFER] * n
         self._buffer_len = np.zeros(n, dtype=int)
         self._window_best = np.zeros(n)
         self._window_participated = np.zeros(n, dtype=bool)
@@ -542,83 +565,98 @@ class ExperienceTracker:
         return self._participation_count.copy()
 
     def state_dict(self) -> dict:
-        """JSON-compatible snapshot of every device's experience.
+        """Columnar snapshot of every device's experience.
 
-        Schema-identical to the scalar per-device implementation
-        (:meth:`DeviceExperience.state_dict`): old checkpoints load and
-        new checkpoints round-trip through old readers.
+        One array per Algorithm-2 field, indexed by device id; the
+        buffers are concatenated in device order (CSR layout, row
+        lengths in ``buffer_len``).  ``has_exploit`` / ``has_estimate``
+        mark the devices whose ``exploit`` / ``estimate`` entry is set
+        (the scalar twin's non-``None`` values), so an infinite
+        never-tried estimate is a value, not a sentinel.
         """
-        synced = self._num_syncs > 0
-        estimates = self.estimates(np.arange(self.num_devices))
-        devices = {}
-        for m in range(self.num_devices):
-            length = int(self._buffer_len[m])
-            devices[str(m)] = {
-                "buffer": [float(g) for g in self._buffer_data[m][:length]],
-                "window_best": float(self._window_best[m]),
-                "window_participated": bool(self._window_participated[m]),
-                "lifetime_best": float(self._lifetime_best[m]),
-                "participation_count": int(self._participation_count[m]),
-                "exploit": (
-                    float(self._exploit[m])
-                    if synced or self._has_exploit[m]
-                    else None
-                ),
-                "estimate": (
-                    float(estimates[m])
-                    if synced or self._has_estimate(m)
-                    else None
-                ),
-            }
-        return {"window": self.window, "devices": devices}
+        all_devices = np.arange(self.num_devices)
+        has_exploit = self._has_exploit | (self._num_syncs > 0)
+        has_estimate = np.full(self.num_devices, self._num_syncs > 0)
+        if self._has_explicit is not None:
+            has_estimate |= self._has_explicit
+        filled = np.flatnonzero(self._buffer_len)
+        return {
+            "window": self.window,
+            "buffer_len": self._buffer_len.copy(),
+            "buffer": np.concatenate(
+                [np.empty(0)]
+                + [self._buffer_data[m][: self._buffer_len[m]] for m in filled]
+            ),
+            "window_best": self._window_best.copy(),
+            "window_participated": self._window_participated.copy(),
+            "lifetime_best": self._lifetime_best.copy(),
+            "participation_count": self._participation_count.copy(),
+            "exploit": np.where(has_exploit, self._exploit, 0.0),
+            "has_exploit": has_exploit,
+            "estimate": np.where(has_estimate, self.estimates(all_devices), 0.0),
+            "has_estimate": has_estimate,
+        }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output into an existing tracker."""
+        """Restore :meth:`state_dict` output into an existing tracker.
+
+        Raises :class:`ValueError` for a window-mode mismatch, a missing
+        column, a column of the wrong dtype or length, or buffer lengths
+        that are negative or do not sum to the flat buffer's size.
+        """
         if state.get("window") != self.window:
             raise ValueError(
                 f"checkpoint window mode {state.get('window')!r} does not "
                 f"match tracker window {self.window!r}"
             )
-        devices = state.get("devices", {})
-        if set(devices) != {str(m) for m in range(self.num_devices)}:
+        columns = {
+            name: check_state_array(
+                f"tracker column {name!r}",
+                state.get(name),
+                dtype,
+                None if name == "buffer" else (self.num_devices,),
+            )
+            for name, dtype in _STATE_COLUMNS.items()
+        }
+        lengths, buffer = columns["buffer_len"], columns["buffer"]
+        if (
+            buffer.ndim != 1
+            or ((lengths < 0) | (lengths > buffer.size)).any()
+            or lengths.sum() != buffer.size
+        ):
             raise ValueError(
-                "checkpoint device population does not match the tracker"
+                "checkpoint tracker buffer lengths are negative or do not "
+                f"sum to the flat buffer's {buffer.size} entries"
             )
         # Restored estimates are frozen until the next sync (exactly the
         # eager semantics), so they come back as pins; counts-at-sync
-        # are unknowable from the schema, but setting them to the stored
+        # are unknowable from the state, but setting them to the stored
         # counts is exact for every device the next sync does not fold,
         # and folded devices get refreshed from their true counts.
         self._num_syncs = 0
         self._last_sync_t = None
-        self._explicit_estimate = None
-        self._has_explicit = None
-        self._touched = set()
-        for key, device_state in devices.items():
-            m = int(key)
-            buffer = np.asarray(
-                [float(g) for g in device_state["buffer"]], dtype=float
-            )
-            self._buffer_data[m] = buffer
-            self._buffer_len[m] = buffer.size
-            self._window_best[m] = float(device_state["window_best"])
-            self._window_participated[m] = bool(
-                device_state["window_participated"]
-            )
-            self._lifetime_best[m] = float(device_state["lifetime_best"])
-            self._participation_count[m] = int(
-                device_state["participation_count"]
-            )
-            self._synced_count[m] = self._participation_count[m]
-            exploit = device_state["exploit"]
-            self._has_exploit[m] = exploit is not None
-            self._exploit[m] = 0.0 if exploit is None else float(exploit)
-            estimate = device_state["estimate"]
-            if estimate is not None:
-                self._pin_estimate(m, float(estimate))
-            if (
-                self._buffer_len[m]
-                or self._window_participated[m]
-                or self._window_best[m]
-            ):
-                self._touched.add(m)
+        self._buffer_len = lengths
+        self._buffer_data = [_EMPTY_BUFFER] * self.num_devices
+        ends = np.cumsum(lengths)
+        for m in np.flatnonzero(lengths):
+            self._buffer_data[m] = buffer[ends[m] - lengths[m] : ends[m]].copy()
+        self._window_best = columns["window_best"]
+        self._window_participated = columns["window_participated"]
+        self._lifetime_best = columns["lifetime_best"]
+        self._participation_count = columns["participation_count"]
+        self._synced_count = self._participation_count.copy()
+        self._has_exploit = columns["has_exploit"]
+        self._exploit = np.where(self._has_exploit, columns["exploit"], 0.0)
+        has_estimate = columns["has_estimate"]
+        pinned = has_estimate.any()
+        self._has_explicit = has_estimate if pinned else None
+        self._explicit_estimate = (
+            np.where(has_estimate, columns["estimate"], 0.0) if pinned else None
+        )
+        self._touched = set(
+            np.flatnonzero(
+                (self._buffer_len > 0)
+                | self._window_participated
+                | (self._window_best != 0)
+            ).tolist()
+        )

@@ -176,4 +176,7 @@ class MACHSampler(Sampler):
         return {"tracker": self.tracker.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
-        self.tracker.load_state_dict(state["tracker"])
+        tracker_state = state.get("tracker")
+        if not isinstance(tracker_state, dict):
+            raise ValueError("checkpoint MACH sampler state has no tracker")
+        self.tracker.load_state_dict(tracker_state)

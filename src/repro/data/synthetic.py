@@ -19,6 +19,7 @@ and thus task difficulty — is controlled by the separation/noise ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -150,6 +151,25 @@ def make_synthetic_image_dataset(
     return Dataset(x, labels, spec.num_classes)
 
 
+@lru_cache(maxsize=16)
+def _blob_centers(num_features: int, num_classes: int) -> np.ndarray:
+    """The blob class centers, one read-only array per geometry.
+
+    Drawn from a stream keyed only by ``(num_features, num_classes)``,
+    so every blobs dataset of that geometry shares them; computed once
+    instead of once per device dataset.
+    """
+    centers_rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=(num_features * 1009 + num_classes))
+    )
+    centers = centers_rng.standard_normal((num_classes, num_features))
+    centers /= np.clip(
+        np.linalg.norm(centers, axis=1, keepdims=True) / np.sqrt(num_features), 1e-9, None
+    )
+    centers.flags.writeable = False
+    return centers
+
+
 def make_blobs_dataset(
     num_samples: int,
     num_features: int = 16,
@@ -161,13 +181,7 @@ def make_blobs_dataset(
 ) -> Dataset:
     """Gaussian-blobs flat-feature dataset for MLP tests and fast sweeps."""
     rng = as_generator(rng)
-    centers_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(num_features * 1009 + num_classes))
-    )
-    centers = centers_rng.standard_normal((num_classes, num_features))
-    centers /= np.clip(
-        np.linalg.norm(centers, axis=1, keepdims=True) / np.sqrt(num_features), 1e-9, None
-    )
+    centers = _blob_centers(num_features, num_classes)
     if labels is None:
         check_positive("num_samples", num_samples)
         labels = rng.integers(0, num_classes, size=num_samples)

@@ -10,9 +10,13 @@ cursor), restoring this snapshot and continuing at step ``k`` replays
 the exact byte-for-byte history an uninterrupted run would have
 produced; ``tests/faults/test_checkpoint.py`` asserts it.
 
-Serialization goes through :mod:`repro.utils.serialization`'s tagged
-JSON (:func:`~repro.utils.serialization.to_jsonable`), which
-round-trips float64 arrays exactly.
+Serialization goes through :mod:`repro.utils.serialization`'s exact
+codec (:func:`~repro.utils.serialization.to_jsonable`): every ndarray
+— models, the sampler's columnar state, the churn mask — is stored as
+its raw bytes in base64, so a checkpoint costs what its bytes cost and
+round-trips −0.0, ±inf and NaN exactly.  :meth:`TrainerCheckpoint.save`
+encodes the payload once: the file is the canonical JSON text the
+SHA-256 checksum is computed over, with the checksum appended.
 
 Models are checkpointed only as flat parameter vectors — never as
 layer objects — so the codec is independent of how a live
@@ -38,8 +42,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.utils.serialization import (
+    ArrayDecodeError,
     from_jsonable,
-    save_json,
     to_jsonable,
 )
 
@@ -48,13 +52,24 @@ from repro.utils.serialization import (
 #: run fingerprints and the ``topology_state`` snapshot.  v3 (the
 #: open-population layer) added the ``churn_state`` snapshot, the
 #: ``stale_buffer`` of parked late uploads, the ``robustness_counters``
-#: and the SHA-256 ``payload_sha256`` integrity checksum.  Only the
+#: and the SHA-256 ``payload_sha256`` integrity checksum.  v4 stores
+#: arrays as base64 raw bytes instead of decimal lists, and the MACH
+#: tracker's state as columns instead of one dict per device.  Only the
 #: current version loads, and only with its checksum.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointIntegrityError(ValueError):
     """A checkpoint file is unreadable, truncated or fails its checksum."""
+
+
+def _canonical_json(body: Dict[str, Any]) -> str:
+    """The canonical JSON text of ``body`` (sorted keys, no whitespace)."""
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _payload_checksum(payload: Dict[str, Any]) -> str:
@@ -66,8 +81,7 @@ def _payload_checksum(payload: Dict[str, Any]) -> str:
     never a flipped bit in its data.
     """
     body = {k: v for k, v in payload.items() if k != "payload_sha256"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256(_canonical_json(body))
 
 
 @dataclass
@@ -109,14 +123,9 @@ class TrainerCheckpoint:
     eval_state: Optional[Dict[str, Any]] = None
     version: int = CHECKPOINT_VERSION
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Encode into a JSON-safe dict (arrays tagged for exactness).
-
-        The returned payload carries a ``payload_sha256`` checksum over
-        its canonical JSON, so :meth:`from_dict` detects any on-disk
-        corruption that still parses as JSON.
-        """
-        payload = to_jsonable(
+    def _body(self) -> Dict[str, Any]:
+        """The JSON-safe payload without its checksum."""
+        return to_jsonable(
             {
                 "version": self.version,
                 "step": self.step,
@@ -142,6 +151,15 @@ class TrainerCheckpoint:
                 "eval_state": self.eval_state,
             }
         )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Encode into a JSON-safe dict (arrays tagged for exactness).
+
+        The returned payload carries a ``payload_sha256`` checksum over
+        its canonical JSON, so :meth:`from_dict` detects any on-disk
+        corruption that still parses as JSON.
+        """
+        payload = self._body()
         payload["payload_sha256"] = _payload_checksum(payload)
         return payload
 
@@ -151,7 +169,8 @@ class TrainerCheckpoint:
 
         Raises :class:`ValueError` for a missing key or any version but
         :data:`CHECKPOINT_VERSION`, and :class:`CheckpointIntegrityError`
-        when ``payload_sha256`` is absent or does not match.
+        when ``payload_sha256`` is absent or does not match, or when a
+        tagged array is malformed.
         """
         required = {
             "version",
@@ -166,7 +185,7 @@ class TrainerCheckpoint:
         missing = required - set(payload)
         if missing:
             raise ValueError(f"checkpoint missing keys: {sorted(missing)}")
-        version = int(payload["version"])
+        version = payload["version"]
         if version != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {version} "
@@ -185,24 +204,26 @@ class TrainerCheckpoint:
                 f"{actual[:12]}…) — the file was corrupted after it "
                 "was written"
             )
-        decoded = from_jsonable(payload)
+        try:
+            decoded = from_jsonable(payload)
+        except ArrayDecodeError as exc:
+            raise CheckpointIntegrityError(
+                f"checkpoint payload is malformed: {exc}"
+            ) from None
         return cls(
             step=int(decoded["step"]),
             master_seed=int(decoded["master_seed"]),
             sampler_name=str(decoded["sampler_name"]),
-            edge_models=[np.asarray(m, dtype=float) for m in decoded["edge_models"]],
-            cloud_model=np.asarray(decoded["cloud_model"], dtype=float),
-            last_synced_edge_models=[
-                np.asarray(m, dtype=float)
-                for m in decoded["last_synced_edge_models"]
-            ],
+            # Arrays pass through unconverted: the trainer's restore
+            # checks their dtypes and shapes against its own models.
+            edge_models=list(decoded["edge_models"]),
+            cloud_model=decoded["cloud_model"],
+            last_synced_edge_models=list(decoded["last_synced_edge_models"]),
             sampler_state=dict(decoded["sampler_state"]),
             history_steps=[int(s) for s in decoded.get("history_steps", [])],
             history_accuracy=list(decoded.get("history_accuracy", [])),
             history_loss=list(decoded.get("history_loss", [])),
-            participation_counts=np.asarray(
-                decoded.get("participation_counts", []), dtype=int
-            ),
+            participation_counts=decoded.get("participation_counts"),
             total_participants=int(decoded.get("total_participants", 0)),
             reached_target_at=decoded.get("reached_target_at"),
             telemetry_state=decoded.get("telemetry_state"),
@@ -237,7 +258,10 @@ class TrainerCheckpoint:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
-        save_json(self.to_dict(), tmp)
+        # One encode: the file is the canonical text the checksum covers,
+        # with the checksum spliced in as its last key.
+        text = _canonical_json(self._body())
+        tmp.write_text(f'{text[:-1]},"payload_sha256":"{_sha256(text)}"}}')
         if path.exists():
             path.replace(self.previous_path(path))
         tmp.replace(path)
@@ -257,8 +281,8 @@ class TrainerCheckpoint:
         if not path.exists():
             raise FileNotFoundError(f"no checkpoint at {path}")
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            payload = json.loads(path.read_bytes())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointIntegrityError(
                 f"checkpoint at {path} is truncated or not valid JSON "
                 f"({exc})"

@@ -80,7 +80,7 @@ from repro.runtime import (
 from repro.sampling.base import DeviceProfile, Sampler
 from repro.topology import make_aggregation, make_topology
 from repro.utils.rng import SeedSequenceFactory
-from repro.utils.validation import check_finite
+from repro.utils.validation import check_finite, check_state_array
 
 
 @dataclass
@@ -857,10 +857,21 @@ class HFLTrainer:
                 f"checkpoint has {len(checkpoint.edge_models)} edges, "
                 f"trainer has {len(self.edges)}"
             )
+        if len(checkpoint.last_synced_edge_models) != len(self.edges):
+            raise ValueError(
+                f"checkpoint has {len(checkpoint.last_synced_edge_models)} "
+                f"last-synced edge models, trainer has {len(self.edges)} edges"
+            )
+        model_shape = self.cloud.model.shape
         for edge, model in zip(self.edges, checkpoint.edge_models):
-            edge.set_model(model)
-        self.cloud.model = checkpoint.cloud_model.copy()
-        self._last_synced = [m.copy() for m in checkpoint.last_synced_edge_models]
+            edge.set_model(check_state_array("edge model", model, float, model_shape))
+        self.cloud.model = check_state_array(
+            "cloud model", checkpoint.cloud_model, float, model_shape
+        )
+        self._last_synced = [
+            check_state_array("last-synced edge model", m, float, model_shape)
+            for m in checkpoint.last_synced_edge_models
+        ]
         self.sampler.load_state_dict(checkpoint.sampler_state)
         if self.telemetry is not None and checkpoint.telemetry_state is not None:
             self.telemetry.load_state_dict(checkpoint.telemetry_state)
@@ -869,15 +880,12 @@ class HFLTrainer:
             accuracy=list(checkpoint.history_accuracy),
             loss=list(checkpoint.history_loss),
         )
-        if checkpoint.participation_counts.size:
-            if checkpoint.participation_counts.shape != (self.trace.num_devices,):
-                raise ValueError(
-                    "checkpoint participation counts do not match the device "
-                    "population"
-                )
-            self._participation_counts = checkpoint.participation_counts.copy()
-        else:
-            self._participation_counts = np.zeros(self.trace.num_devices, dtype=int)
+        self._participation_counts = check_state_array(
+            "participation counts",
+            checkpoint.participation_counts,
+            int,
+            (self.trace.num_devices,),
+        )
         self._total_participants = checkpoint.total_participants
         self._reached_at = checkpoint.reached_target_at
         if (checkpoint.churn_state is not None) != (self.churn is not None):
@@ -896,7 +904,9 @@ class HFLTrainer:
                 born_step=int(entry["born_step"]),
                 admit_step=int(entry["admit_step"]),
                 weight=float(entry["weight"]),
-                delta=np.asarray(entry["delta"], dtype=float),
+                delta=check_state_array(
+                    "stale upload delta", entry["delta"], float, model_shape
+                ),
                 grad_sq_norms=[float(g) for g in entry["grad_sq_norms"]],
                 mean_loss=float(entry["mean_loss"]),
             )

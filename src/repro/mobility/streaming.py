@@ -110,7 +110,10 @@ class MarkovChunkProvider:
         self.num_devices = int(num_devices)
         self.num_edges = int(transition.shape[0])
         self.chunk_steps = int(chunk_steps)
-        self._cumulative = np.cumsum(transition, axis=1)
+        # One contiguous array per destination edge (see _advance).
+        self._cumulative_columns = np.ascontiguousarray(
+            np.cumsum(transition, axis=1).T
+        )
         self._seeds = SeedSequenceFactory(seed)
         initial = self._seeds.generator("initial").integers(
             0, self.num_edges, size=self.num_devices
@@ -120,9 +123,22 @@ class MarkovChunkProvider:
         self._boundary: List[np.ndarray] = [initial.astype(np.int32)]
 
     def _advance(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One inverse-CDF step: the next edge is the number of cumulative
+        entries of the device's row that ``u`` exceeds.
+
+        Counted one destination column at a time — the same comparisons
+        as gathering each device's whole row, without the
+        ``(num_devices, num_edges)`` block.
+        """
         u = rng.random(self.num_devices)
-        rows = self._cumulative[state]
-        return ((u[:, None] > rows).sum(axis=1)).astype(np.int32)
+        nxt = np.zeros(self.num_devices, dtype=np.int32)
+        entry = np.empty(self.num_devices)
+        exceeds = np.empty(self.num_devices, dtype=bool)
+        for column in self._cumulative_columns:
+            np.take(column, state, out=entry)
+            np.greater(u, entry, out=exceeds)
+            nxt += exceeds
+        return nxt
 
     def _boundary_state(self, chunk_index: int) -> np.ndarray:
         while len(self._boundary) <= chunk_index:

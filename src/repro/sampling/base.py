@@ -46,8 +46,9 @@ class Sampler(ABC):
     5. at every edge-to-cloud communication step: :meth:`on_global_sync`.
 
     Checkpointing: samplers that learn across steps expose their mutable
-    state through :meth:`state_dict` / :meth:`load_state_dict` (JSON-
-    compatible dicts) so a killed run can resume bit-identically.
+    state through :meth:`state_dict` / :meth:`load_state_dict` (dicts
+    of JSON values and ndarrays, which the checkpoint codec stores as
+    raw bytes) so a killed run can resume bit-identically.
     Stateless samplers inherit the empty-dict defaults.
     """
 
@@ -129,7 +130,7 @@ class Sampler(ABC):
         """Called at every edge-to-cloud communication step (t mod Tg == 0)."""
 
     def state_dict(self) -> dict:
-        """JSON-compatible snapshot of the mutable learned state."""
+        """Snapshot of the mutable learned state (JSON values, ndarrays)."""
         return {}
 
     def load_state_dict(self, state: dict) -> None:

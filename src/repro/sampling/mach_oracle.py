@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.edge_sampling import EdgeSamplingConfig, edge_strategy
 from repro.sampling.base import DeviceProfile, Sampler
+from repro.utils.validation import check_state_array
 
 
 class MACHOracleSampler(Sampler):
@@ -76,9 +77,11 @@ class MACHOracleSampler(Sampler):
     def state_dict(self) -> dict:
         if self._true_g_sq is None:
             return {}
-        return {"true_g_sq": self._true_g_sq.tolist()}
+        return {"true_g_sq": self._true_g_sq.copy()}
 
     def load_state_dict(self, state: dict) -> None:
         if self._true_g_sq is None:
             raise RuntimeError("setup() must be called before restoring state")
-        self._true_g_sq = np.asarray(state["true_g_sq"], dtype=float)
+        self._true_g_sq = check_state_array(
+            "true G^2 values", state.get("true_g_sq"), float, self._true_g_sq.shape
+        )

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.sampling.base import DeviceProfile, Sampler, capped_proportional_probabilities
-from repro.utils.validation import check_fraction
+from repro.utils.validation import check_fraction, check_state_array
 
 
 class StatisticalSampler(Sampler):
@@ -85,12 +85,15 @@ class StatisticalSampler(Sampler):
         if self._utility is None:
             return {}
         return {
-            "utility": self._utility.tolist(),
-            "seen": self._seen.tolist(),
+            "utility": self._utility.copy(),
+            "seen": self._seen.copy(),
         }
 
     def load_state_dict(self, state: dict) -> None:
         if self._utility is None:
             raise RuntimeError("setup() must be called before restoring state")
-        self._utility = np.asarray(state["utility"], dtype=float)
-        self._seen = np.asarray(state["seen"], dtype=bool)
+        size = self._utility.shape
+        self._utility = check_state_array(
+            "utility", state.get("utility"), float, size
+        )
+        self._seen = check_state_array("seen mask", state.get("seen"), bool, size)

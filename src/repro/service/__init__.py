@@ -4,7 +4,7 @@ Three layers, thinnest on top:
 
 - :mod:`repro.service.coordinator` — the service itself: a scenario
   registry + dispatcher thread driving the trainer's step generator,
-  with pause/resume/stop, periodic v3 checkpoints and crash recovery;
+  with pause/resume/stop, periodic checksummed checkpoints and crash recovery;
 - :mod:`repro.service.http` — stdlib JSON/JSONL endpoints over the same
   surface (plus the Prometheus scrape and the health probe);
 - :mod:`repro.service.client` — a urllib client returning the same

@@ -11,7 +11,7 @@ trainer, so a service run is bit-identical to
 
 Lifecycle: :meth:`pause` / :meth:`resume_run` gate the loop between
 steps, :meth:`stop` closes the generator at the next step boundary, and
-each run checkpoints periodically through the trainer's own v3
+each run checkpoints periodically through the trainer's own
 checksummed checkpoints (rotated ``.prev`` copies).  A coordinator
 restarted over the same ``state_dir`` recovers crashed runs with
 :meth:`recover`: the run manifest names everything needed to rebuild
@@ -50,7 +50,7 @@ from repro.service.types import (
     RunStatus,
 )
 
-#: Default cadence (in engine steps) of the per-run v3 checkpoints the
+#: Default cadence (in engine steps) of the per-run checkpoints the
 #: service writes when it has a ``state_dir`` to write into.
 DEFAULT_CHECKPOINT_EVERY = 5
 
@@ -125,7 +125,7 @@ class Coordinator:
 
     ``state_dir`` makes the service durable: each run gets
     ``runs/<run_id>/`` holding a JSON manifest (enough to rebuild the
-    trainer), the rotating v3 checkpoint pair and the per-round metrics
+    trainer), the rotating checkpoint pair and the per-round metrics
     JSONL.  Without a ``state_dir`` the coordinator is purely in-memory
     (no checkpoints, no recovery) — handy for tests and notebooks.
 

@@ -1,14 +1,24 @@
-"""JSON serialization for training results and experiment reports.
+"""JSON serialization for training results, reports and checkpoints.
 
 Long benchmark runs should be inspectable after the fact; these helpers
 serialize :class:`~repro.hfl.trainer.TrainingResult` and the comparison
 reports to plain JSON (numpy types coerced), and load them back into
 lightweight dataclass equivalents.
+
+Checkpoints use the exact codec instead (:func:`to_jsonable` /
+:func:`from_jsonable`): every ndarray travels as its raw C-order bytes
+in base64, tagged with an explicit-byte-order dtype (``<f8``, ``<i8``
+or ``|b1``) and its shape.  Decoding checks the tag strictly — known
+dtype, a list of sizes, valid base64, a byte count equal to
+``prod(shape) × itemsize`` — and raises :class:`ArrayDecodeError` (a
+``ValueError``) otherwise.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, Union
 
@@ -38,18 +48,75 @@ def _coerce(value: Any) -> Any:
 
 #: Tag key marking an ndarray in :func:`to_jsonable` output.
 _NDARRAY_TAG = "__ndarray__"
+#: Wire dtype (explicit byte order) for each array kind a checkpoint
+#: holds: float64, int64 and bool.  Narrower ints/floats widen exactly.
+_WIRE_DTYPES = {"f": "<f8", "i": "<i8", "b": "|b1"}
+_SPEC_KEYS = {"dtype", "shape", "b64"}
+_MAX_NDIM = 32
+
+
+class ArrayDecodeError(ValueError):
+    """A tagged array in :func:`from_jsonable` input is malformed."""
+
+
+def _encode_array(array: np.ndarray) -> Dict[str, Any]:
+    wire = _WIRE_DTYPES.get(array.dtype.kind)
+    if wire is None or array.dtype.itemsize > np.dtype(wire).itemsize:
+        raise TypeError(f"cannot encode a {array.dtype} array for JSON")
+    raw = np.ascontiguousarray(array, dtype=wire).tobytes()
+    return {
+        "dtype": wire,
+        "shape": list(array.shape),
+        "b64": base64.b64encode(raw).decode("ascii"),
+    }
+
+
+def _decode_array(spec: Any) -> np.ndarray:
+    if not isinstance(spec, dict) or set(spec) != _SPEC_KEYS:
+        raise ArrayDecodeError(
+            f"array tag must hold exactly {sorted(_SPEC_KEYS)}"
+        )
+    dtype, shape, text = spec["dtype"], spec["shape"], spec["b64"]
+    if dtype not in _WIRE_DTYPES.values():
+        raise ArrayDecodeError(f"unsupported array dtype {dtype!r}")
+    if (
+        not isinstance(shape, list)
+        or len(shape) > _MAX_NDIM
+        or not all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise ArrayDecodeError(f"array shape {shape!r} is not a list of sizes")
+    if not isinstance(text, str):
+        raise ArrayDecodeError("array data is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ArrayDecodeError(f"array data is not valid base64 ({exc})") from None
+    itemsize = np.dtype(dtype).itemsize
+    if len(raw) != math.prod(shape) * itemsize:
+        raise ArrayDecodeError(
+            f"array data holds {len(raw)} bytes, shape {shape} of {dtype} "
+            f"needs {math.prod(shape) * itemsize}"
+        )
+    if dtype == "|b1" and raw.translate(None, b"\x00\x01"):
+        raise ArrayDecodeError("bool array data holds bytes other than 0 and 1")
+    # A bytearray makes the array writable without a second copy.
+    return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
 
 
 def to_jsonable(value: Any) -> Any:
     """Recursively encode ``value`` for exact JSON round-tripping.
 
     Unlike :func:`_coerce` (lossy ``tolist`` for report files), arrays
-    are tagged with their dtype so :func:`from_jsonable` rebuilds them
-    bit-identically — ``repr``-based JSON floats round-trip float64
-    exactly.  Used by checkpointing, where exactness is the contract.
+    become ``{"__ndarray__": {"dtype", "shape", "b64"}}``: their raw
+    C-order bytes in base64 under an explicit-byte-order dtype
+    (``<f8``, ``<i8`` or ``|b1``), so :func:`from_jsonable` rebuilds
+    them bit for bit — −0.0, ±inf and NaN included — at the cost of
+    their bytes rather than of a decimal float per element.  Python
+    floats stay JSON numbers (``repr`` round-trips float64 exactly).
+    Used by checkpointing, where exactness is the contract.
     """
     if isinstance(value, np.ndarray):
-        return {_NDARRAY_TAG: {"dtype": str(value.dtype), "data": value.tolist()}}
+        return {_NDARRAY_TAG: _encode_array(value)}
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -66,31 +133,20 @@ def to_jsonable(value: Any) -> Any:
 
 
 def from_jsonable(value: Any) -> Any:
-    """Inverse of :func:`to_jsonable` (tagged arrays become ndarrays)."""
+    """Inverse of :func:`to_jsonable` (tagged arrays become ndarrays).
+
+    Raises :class:`ArrayDecodeError` for a tag with an unknown dtype, a
+    bad shape, non-base64 data or a byte count its shape disagrees with.
+    """
     if isinstance(value, dict):
-        if set(value) == {_NDARRAY_TAG}:
-            spec = value[_NDARRAY_TAG]
-            return np.array(spec["data"], dtype=np.dtype(spec["dtype"]))
+        if _NDARRAY_TAG in value:
+            if len(value) != 1:
+                raise ArrayDecodeError("array tag has sibling keys")
+            return _decode_array(value[_NDARRAY_TAG])
         return {k: from_jsonable(v) for k, v in value.items()}
     if isinstance(value, list):
         return [from_jsonable(v) for v in value]
     return value
-
-
-def save_json(payload: Any, path: Union[str, Path]) -> Path:
-    """Write ``payload`` (already jsonable) to ``path``, creating parents."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload))
-    return path
-
-
-def load_json(path: Union[str, Path]) -> Any:
-    """Read a JSON file written by :func:`save_json`."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no JSON file at {path}")
-    return json.loads(path.read_text())
 
 
 def training_result_to_dict(result: TrainingResult) -> Dict[str, Any]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,26 @@ def check_shape(name: str, array: np.ndarray, shape: Tuple[int, ...]) -> np.ndar
     if array.shape != tuple(shape):
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
     return array
+
+
+def check_state_array(
+    name: str, value: object, dtype: type, shape: Optional[Tuple[int, ...]] = None
+) -> np.ndarray:
+    """Validate an array restored from a checkpoint; returns a copy.
+
+    Raises :class:`ValueError` naming the checkpoint field unless
+    ``value`` is an ndarray of exactly ``dtype`` (and ``shape``, if
+    given) — a restore never converts or broadcasts what it was handed.
+    """
+    if not isinstance(value, np.ndarray) or value.dtype != dtype:
+        raise ValueError(
+            f"checkpoint {name} is missing or not a {np.dtype(dtype)} array"
+        )
+    if shape is not None and value.shape != tuple(shape):
+        raise ValueError(
+            f"checkpoint {name} has shape {value.shape}, expected {tuple(shape)}"
+        )
+    return value.copy()
 
 
 def check_finite(name: str, array: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from repro.sampling import UniformSampler
 
 from tests.faults.test_checkpoint import assert_checkpoints_equal
 from tests.faults.test_degradation import build_trainer
+from tests.state_equal import assert_state_equal
 
 #: Everything on at once: seeded churn, a straggler deadline low enough
 #: to park uploads in the small test workload, and a staleness window
@@ -36,7 +37,7 @@ OPEN_WORLD = dict(
 def assert_open_world_checkpoints_equal(a, b):
     """The v1/v2 field comparison plus the v3 open-population fields."""
     assert_checkpoints_equal(a, b)
-    assert a.churn_state == b.churn_state
+    assert_state_equal(a.churn_state, b.churn_state)
     assert a.robustness_counters == b.robustness_counters
     assert len(a.stale_buffer) == len(b.stale_buffer)
     for x, y in zip(a.stale_buffer, b.stale_buffer):
@@ -150,9 +151,9 @@ class TestKillAndResumeOpenWorld:
         np.testing.assert_array_equal(
             full_trainer.cloud.model, resumed_trainer.cloud.model
         )
-        assert (
-            full_trainer.sampler.state_dict()
-            == resumed_trainer.sampler.state_dict()
+        assert_state_equal(
+            full_trainer.sampler.state_dict(),
+            resumed_trainer.sampler.state_dict(),
         )
         assert telemetry_full.state_dict() == telemetry_resumed.state_dict()
         # The strongest form: the end-of-run snapshots agree field by

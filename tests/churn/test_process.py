@@ -12,6 +12,8 @@ from repro.churn import (
 )
 from repro.utils.rng import SeedSequenceFactory
 
+from tests.state_equal import assert_state_equal
+
 
 class TestProfileParsing:
     def test_none_passes_through(self):
@@ -164,7 +166,7 @@ class TestProcessSemantics:
         np.testing.assert_array_equal(
             process.active_mask, rebuilt.active_mask
         )
-        assert rebuilt.state_dict() == state
+        assert_state_equal(rebuilt.state_dict(), state)
 
     def test_load_rejects_wrong_population(self):
         process = bound_process(CHURN_PRESETS["moderate"], num_devices=40)

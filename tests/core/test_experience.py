@@ -9,6 +9,30 @@ from hypothesis import strategies as st
 
 from repro.core.experience import DeviceExperience, ExperienceTracker
 
+from tests.state_equal import assert_state_equal
+
+
+def scalar_rows(state):
+    """Per-device dicts in the scalar twin's schema, read from the
+    tracker's columns (``None`` where a presence mask is unset)."""
+    ends = np.cumsum(state["buffer_len"])
+    return [
+        {
+            "buffer": state["buffer"][end - length : end].tolist(),
+            "window_best": float(state["window_best"][m]),
+            "window_participated": bool(state["window_participated"][m]),
+            "lifetime_best": float(state["lifetime_best"][m]),
+            "participation_count": int(state["participation_count"][m]),
+            "exploit": (
+                float(state["exploit"][m]) if state["has_exploit"][m] else None
+            ),
+            "estimate": (
+                float(state["estimate"][m]) if state["has_estimate"][m] else None
+            ),
+        }
+        for m, (end, length) in enumerate(zip(ends, state["buffer_len"]))
+    ]
+
 
 class TestDeviceExperience:
     def test_initial_estimate_infinite(self):
@@ -152,7 +176,7 @@ class TestArrayBackedTracker:
     :class:`DeviceExperience` reference twin — same values, same state
     schema — under any interleaving of records, failures and syncs."""
 
-    def run_scenario(self, window, seed=3, num_devices=5, num_syncs=4):
+    def run_scenario(self, window, seed=3, num_devices=5, num_syncs=4, idle=()):
         rng = np.random.default_rng(seed)
         tracker = ExperienceTracker(num_devices, window=window)
         scalars = [DeviceExperience(m, window=window) for m in range(num_devices)]
@@ -161,6 +185,8 @@ class TestArrayBackedTracker:
             for _ in range(rng.integers(2, 5)):
                 t += 1
                 for m in range(num_devices):
+                    if m in idle:
+                        continue
                     draw = rng.random()
                     if draw < 0.4:
                         norms = rng.random(size=int(rng.integers(1, 4))) * 10
@@ -190,18 +216,34 @@ class TestArrayBackedTracker:
 
     @pytest.mark.parametrize("window", ["recent", "lifetime"])
     def test_state_dict_schema_matches_scalar_twin(self, window):
-        tracker, scalars, _t = self.run_scenario(window)
-        state = tracker.state_dict()
-        assert state["window"] == window
-        for m, exp in enumerate(scalars):
-            assert state["devices"][str(m)] == exp.state_dict()
+        """Each device's column entries (read through the presence masks)
+        equal its scalar twin's per-device ``state_dict`` fields — before
+        the first sync (no exploit or estimate set) and after four, with
+        device 5 never sampled."""
+        for num_syncs in (0, 4):
+            tracker, scalars, _t = self.run_scenario(
+                window, num_devices=6, num_syncs=num_syncs, idle=(5,)
+            )
+            # Open a window so the buffers and window fields are not all
+            # empty.
+            for m, norms in [(0, [2.0, 0.5]), (2, [1.25]), (0, [3.0])]:
+                tracker.record(m, norms)
+                scalars[m].record(norms)
+            tracker.record_failure(1)
+            scalars[1].record_failure()
+            state = tracker.state_dict()
+            assert state["buffer_len"].tolist() == [3, 0, 1, 0, 0, 0]
+            assert state["window"] == window
+            assert state["buffer_len"].sum() == state["buffer"].size
+            rows = scalar_rows(state)
+            assert rows == [exp.state_dict() for exp in scalars]
 
     def test_state_round_trip_is_exact(self):
         tracker, _scalars, t = self.run_scenario("recent")
         state = tracker.state_dict()
         restored = ExperienceTracker(len(tracker.devices), window="recent")
         restored.load_state_dict(state)
-        assert restored.state_dict() == state
+        assert_state_equal(restored.state_dict(), state)
         # Continued operation agrees too (the restored buffers feed the
         # same full-buffer means).
         for tr in (tracker, restored):
@@ -253,5 +295,5 @@ class TestArrayBackedTracker:
         tracker = ExperienceTracker(2)
         with pytest.raises(ValueError, match="window"):
             tracker.load_state_dict({"window": "lifetime", "devices": {}})
-        with pytest.raises(ValueError, match="population"):
-            tracker.load_state_dict({"window": "recent", "devices": {"0": {}}})
+        with pytest.raises(ValueError, match=r"has shape \(3,\), expected \(2,\)"):
+            tracker.load_state_dict(ExperienceTracker(3).state_dict())

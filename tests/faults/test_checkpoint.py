@@ -6,6 +6,8 @@ checkpoint matches an uninterrupted run exactly — bit-identical
 history, models, sampler state and telemetry.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,15 @@ from repro.faults import (
     CheckpointIntegrityError,
     TrainerCheckpoint,
 )
+from repro.faults.checkpoint import _payload_checksum
 from repro.hfl.config import HFLConfig
 from repro.hfl.telemetry import TelemetryRecorder
 from repro.sampling import UniformSampler
+from repro.utils.serialization import from_jsonable
 
+from tests.core.test_experience import scalar_rows
 from tests.faults.test_degradation import build_trainer
+from tests.state_equal import assert_state_equal
 
 
 def assert_checkpoints_equal(a: TrainerCheckpoint, b: TrainerCheckpoint):
@@ -32,7 +38,7 @@ def assert_checkpoints_equal(a: TrainerCheckpoint, b: TrainerCheckpoint):
     np.testing.assert_array_equal(a.cloud_model, b.cloud_model)
     for x, y in zip(a.last_synced_edge_models, b.last_synced_edge_models):
         np.testing.assert_array_equal(x, y)
-    assert a.sampler_state == b.sampler_state
+    assert_state_equal(a.sampler_state, b.sampler_state)
     assert a.history_steps == b.history_steps
     assert a.history_accuracy == b.history_accuracy
     assert a.history_loss == b.history_loss
@@ -40,6 +46,37 @@ def assert_checkpoints_equal(a: TrainerCheckpoint, b: TrainerCheckpoint):
     assert a.total_participants == b.total_participants
     assert a.reached_target_at == b.reached_target_at
     assert a.telemetry_state == b.telemetry_state
+
+
+def v3_payload(payload):
+    """Rewrite a v4 payload in the v3 layout, re-signed.
+
+    v3 stored each array as ``{"dtype": name, "data": decimal list}``
+    and the MACH tracker as one dict per device.
+    """
+    def legacy(value):
+        if isinstance(value, dict):
+            if "__ndarray__" in value:
+                array = from_jsonable(value)
+                return {"__ndarray__": {"dtype": str(array.dtype),
+                                        "data": array.tolist()}}
+            return {k: legacy(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [legacy(v) for v in value]
+        return value
+
+    old = legacy(payload)
+    tracker = from_jsonable(payload["sampler_state"].get("tracker"))
+    if tracker is not None:
+        old["sampler_state"]["tracker"] = {
+            "window": tracker["window"],
+            "devices": {
+                str(m): row for m, row in enumerate(scalar_rows(tracker))
+            },
+        }
+    old["version"] = 3
+    old["payload_sha256"] = _payload_checksum(old)
+    return old
 
 
 class TestCheckpointRoundTrip:
@@ -68,13 +105,18 @@ class TestCheckpointRoundTrip:
         trainer = build_trainer(MACHSampler(), num_devices=20)
         trainer.run(num_steps=2)
         checkpoint = trainer.make_checkpoint(2)
-        devices = checkpoint.sampler_state["tracker"]["devices"]
-        assert any(
-            d["estimate"] is not None and np.isinf(d["estimate"])
-            for d in devices.values()
-        ), "expected at least one never-sampled device with an inf estimate"
+        tracker = checkpoint.sampler_state["tracker"]
+        never_tried = tracker["has_estimate"] & np.isinf(tracker["estimate"])
+        assert never_tried.any(), (
+            "expected at least one never-sampled device with an inf estimate"
+        )
         loaded = TrainerCheckpoint.load(checkpoint.save(tmp_path / "c.json"))
-        assert loaded.sampler_state == checkpoint.sampler_state
+        restored = loaded.sampler_state["tracker"]
+        for column in ("estimate", "has_estimate"):
+            assert np.array_equal(restored[column], tracker[column])
+        assert np.isinf(restored["estimate"][never_tried]).all()
+        assert restored["has_estimate"][never_tried].all()
+        assert_state_equal(loaded.sampler_state, checkpoint.sampler_state)
 
     def test_load_rejects_bad_payloads(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -115,6 +157,37 @@ class TestCheckpointRoundTrip:
             ValueError, match=f"unsupported checkpoint version {version}"
         ):
             TrainerCheckpoint.from_dict(payload)
+
+    def test_v3_checkpoint_rejected(self, tmp_path):
+        """A v3 file (decimal-list arrays, one dict per device) with a
+        valid checksum fails by its version: there is no v3 reader, and
+        the failure is not an integrity error, so ``load_with_fallback``
+        does not hide it behind an older rotated copy."""
+        trainer = build_trainer(MACHSampler())
+        trainer.run(num_steps=4)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(v3_payload(trainer.make_checkpoint(4).to_dict())))
+        for load in (TrainerCheckpoint.load, TrainerCheckpoint.load_with_fallback):
+            with pytest.raises(
+                ValueError, match="unsupported checkpoint version 3"
+            ) as excinfo:
+                load(path)
+            assert not isinstance(excinfo.value, CheckpointIntegrityError)
+
+    def test_save_writes_the_canonical_text_once(self, tmp_path):
+        """The file is the canonical JSON its checksum covers, with the
+        checksum appended: one encode, same checksum as ``to_dict``."""
+        trainer = build_trainer(MACHSampler())
+        trainer.run(num_steps=4)
+        checkpoint = trainer.make_checkpoint(4)
+        text = checkpoint.save(tmp_path / "ckpt.json").read_text()
+        payload = checkpoint.to_dict()
+        assert json.loads(text) == payload
+        body = {k: v for k, v in payload.items() if k != "payload_sha256"}
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        assert text == (
+            f'{canonical[:-1]},"payload_sha256":"{payload["payload_sha256"]}"}}'
+        )
 
     def test_checksum_and_version_are_required(self):
         trainer = build_trainer(UniformSampler())
@@ -188,9 +261,9 @@ class TestKillAndResume:
         np.testing.assert_array_equal(
             full_trainer.cloud.model, resumed_trainer.cloud.model
         )
-        assert (
-            full_trainer.sampler.state_dict()
-            == resumed_trainer.sampler.state_dict()
+        assert_state_equal(
+            full_trainer.sampler.state_dict(),
+            resumed_trainer.sampler.state_dict(),
         )
         # The telemetry stream replays exactly too.
         assert tel_full.state_dict() == tel_res.state_dict()

@@ -141,6 +141,49 @@ class TestProviders:
             jumper.chunk(last_start, STEPS), blocks[-1]
         )
 
+    @pytest.mark.parametrize("num_edges", [1, 2, 8, 300])
+    def test_markov_step_equals_row_gather(self, num_edges):
+        """The column-by-column step draws the same edge as counting
+        ``u > cumulative[state]`` over each device's whole row, ties
+        included: ``u`` exactly on a cumulative boundary (and one ulp
+        either side of it), and zero-probability entries that repeat a
+        cumulative value."""
+        rng = np.random.default_rng(num_edges)
+        transition = rng.random((num_edges, num_edges))
+        transition[rng.random((num_edges, num_edges)) < 0.5] = 0.0
+        transition[np.arange(num_edges), np.arange(num_edges)] += 0.25
+        if num_edges > 1:
+            transition[-1, 0] += 0.25
+            transition[[0, -1], -1] = 0.0
+        transition /= transition.sum(axis=1, keepdims=True)
+        cumulative = np.cumsum(transition, axis=1)
+        num_devices = 3000
+        state = rng.integers(0, num_edges, size=num_devices).astype(np.int32)
+        boundary = cumulative[state, rng.integers(0, num_edges, num_devices)]
+        u = np.where(
+            np.arange(num_devices) % 4 == 0,
+            rng.random(num_devices),
+            boundary,
+        )
+        u[1::4] = np.nextafter(boundary[1::4], 0.0)
+        u[2::4] = np.nextafter(boundary[2::4], 2.0)
+        u[:3] = [0.0, cumulative[state[1], 0], 1.0]
+        if num_edges > 1:
+            assert (np.diff(cumulative, axis=1) == 0).any()
+
+        class FixedUniforms:
+            def random(self, size):
+                assert size == num_devices
+                return u
+
+        provider = MarkovChunkProvider(
+            transition, STEPS, num_devices, seed=5
+        )
+        step = provider._advance(state, FixedUniforms())
+        expected = (u[:, None] > cumulative[state]).sum(axis=1)
+        assert step.dtype == np.int32
+        np.testing.assert_array_equal(step, expected)
+
     def test_markov_provider_rejects_misaligned_requests(self):
         transition = MarkovMobilityModel.stay_or_jump(EDGES, 0.7).transition
         provider = MarkovChunkProvider(

@@ -18,6 +18,7 @@ from repro.obs import EventLog, Observability
 from repro.runtime import EXECUTOR_KINDS
 
 from tests.obs.conftest import build_obs_trainer
+from tests.state_equal import assert_state_equal
 
 
 def run_once(obs=None, seed=0, steps=8, **overrides):
@@ -40,7 +41,7 @@ def assert_bit_identical(a, b):
     for x, y in zip(edges_a, edges_b):
         np.testing.assert_array_equal(x, y)
     np.testing.assert_array_equal(cloud_a, cloud_b)
-    assert sampler_a == sampler_b
+    assert_state_equal(sampler_a, sampler_b)
 
 
 class TestBitIdentity:

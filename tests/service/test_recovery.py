@@ -1,7 +1,7 @@
 """Crash recovery: kill −9 a serving coordinator, restart, replay.
 
 A coordinator with a ``state_dir`` persists, per run, a JSON manifest,
-a rotating v3 checkpoint pair and the per-round metrics JSONL.  When
+a rotating checksummed checkpoint pair and the per-round metrics JSONL.  When
 the process dies mid-round, a fresh coordinator over the same state dir
 must resume every non-terminal run from its newest intact checkpoint
 (``TrainerCheckpoint.load_with_fallback``) and — because every random
@@ -25,6 +25,7 @@ from repro.experiments.runner import run_single
 from repro.faults import TrainerCheckpoint
 from repro.service import Coordinator
 
+from tests.faults.test_checkpoint import v3_payload
 from tests.service.conftest import tiny_scenario
 
 #: The scenario the killed subprocess runs: long enough that SIGKILL
@@ -217,3 +218,27 @@ class TestRoundLogBeforeCheckpoint:
             assert [json.loads(l)["steps_run"] for l in lines] == list(
                 range(1, steps + 1)
             )
+
+
+class TestLegacyCheckpoint:
+    def test_v3_checkpoint_marks_the_run_failed(self, tmp_path):
+        """A run whose checkpoints are v3 files is not resumed with
+        guessed state: ``recover()`` marks it failed, naming the
+        version, and leaves its files in place."""
+        state = tmp_path / "state"
+        with Coordinator(state_dir=state, checkpoint_every=5) as coordinator:
+            run_id = coordinator.submit(tiny_scenario(num_steps=12), sampler="mach")
+            coordinator.result(run_id, timeout=120.0)
+        run_dir = state / "runs" / run_id
+        manifest = json.loads((run_dir / "run.json").read_text())
+        (run_dir / "run.json").write_text(json.dumps(dict(manifest, state="running")))
+        for name in ("checkpoint.json", "checkpoint.json.prev"):
+            path = run_dir / name
+            path.write_text(json.dumps(v3_payload(json.loads(path.read_text()))))
+        with Coordinator(state_dir=state, checkpoint_every=5) as coordinator:
+            assert coordinator.recover() == []
+            status = coordinator.status(run_id)
+            assert status.state == "failed"
+            assert "unsupported checkpoint version 3" in status.error
+        assert json.loads((run_dir / "run.json").read_text())["state"] == "failed"
+        assert (run_dir / "checkpoint.json").is_file()

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.run_all import ARTIFACTS, build_parser, main
 from repro.hfl.metrics import TrainingHistory
@@ -12,10 +14,9 @@ from repro.nn.architectures import build_mlp
 from repro.nn.layers import Dense
 from repro.nn.optim import SGD, Adam
 from repro.utils.serialization import (
+    ArrayDecodeError,
     from_jsonable,
-    load_json,
     load_training_result,
-    save_json,
     save_training_result,
     to_jsonable,
     training_result_from_dict,
@@ -113,6 +114,71 @@ class TestTaggedJson:
             assert rebuilt.dtype == original.dtype
             np.testing.assert_array_equal(rebuilt, original)
 
+    def test_special_values_round_trip_bit_for_bit(self):
+        """−0.0, ±inf, NaN, subnormals, empty and 0-d arrays come back
+        with the same dtype, shape and bytes."""
+        arrays = [
+            np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308]),
+            np.array(-0.0),
+            np.array(np.inf),
+            np.array(7, dtype=np.int64),
+            np.array(True),
+            np.zeros(0),
+            np.zeros((0, 3), dtype=np.int64),
+            np.zeros((2, 0), dtype=bool),
+            np.array([-(2**63), 2**63 - 1]),
+            np.arange(12.0).reshape(2, 3, 2)[:, ::2],  # not C-contiguous
+        ]
+        for original in arrays:
+            tag = to_jsonable(original)["__ndarray__"]
+            assert tag["dtype"] in ("<f8", "<i8", "|b1")
+            assert tag["shape"] == list(original.shape)
+            rebuilt = from_jsonable(json.loads(json.dumps(to_jsonable(original))))
+            assert rebuilt.dtype == original.dtype
+            assert rebuilt.shape == original.shape
+            assert rebuilt.tobytes() == original.tobytes()
+            assert rebuilt.flags.writeable
+
+    @given(st.binary(max_size=256).map(lambda b: b[: len(b) // 8 * 8]))
+    @settings(max_examples=100, deadline=None)
+    def test_any_float64_bit_pattern_round_trips(self, raw):
+        original = np.frombuffer(raw, dtype="<f8")
+        rebuilt = from_jsonable(json.loads(json.dumps(to_jsonable(original))))
+        assert rebuilt.tobytes() == raw
+
+    def test_narrow_dtypes_widen_exactly(self):
+        for original, wire in [
+            (np.arange(3, dtype=np.int32), "<i8"),
+            (np.array([0.1, -0.0], dtype=np.float32), "<f8"),
+        ]:
+            assert to_jsonable(original)["__ndarray__"]["dtype"] == wire
+            rebuilt = from_jsonable(to_jsonable(original))
+            np.testing.assert_array_equal(rebuilt, original)
+        for unsupported in (np.array([1 + 2j]), np.array(["a"]),
+                            np.array([None]), np.arange(2, dtype=np.uint64)):
+            with pytest.raises(TypeError, match="cannot encode"):
+                to_jsonable(unsupported)
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"dtype": ">f8", "shape": [1], "b64": "AAAAAAAA8D8="}, "dtype"),
+        ({"dtype": "|O", "shape": [1], "b64": "AAAAAAAA8D8="}, "dtype"),
+        ({"dtype": "<f8", "shape": [2], "b64": "AAAAAAAA8D8="}, "bytes"),
+        ({"dtype": "<f8", "shape": [-1], "b64": "AAAAAAAA8D8="}, "shape"),
+        ({"dtype": "<f8", "shape": 1, "b64": "AAAAAAAA8D8="}, "shape"),
+        ({"dtype": "<f8", "shape": [1], "b64": "AAAAAAAA8D8"}, "base64"),
+        ({"dtype": "<f8", "shape": [1], "b64": "AAAA!AAAA8D8="}, "base64"),
+        ({"dtype": "<f8", "shape": [1], "b64": "AAAAAAAA8D8é"}, "base64"),
+        ({"dtype": "<f8", "shape": [1], "b64": None}, "base64"),
+        ({"dtype": "|b1", "shape": [1], "b64": "Ag=="}, "bool"),
+        ({"dtype": "<f8", "shape": [1]}, "exactly"),
+        ([1.0], "exactly"),
+    ])
+    def test_malformed_tags_raise_array_decode_error(self, spec, message):
+        with pytest.raises(ArrayDecodeError, match=message):
+            from_jsonable({"m": [{"__ndarray__": spec}]})
+        with pytest.raises(ArrayDecodeError, match="sibling"):
+            from_jsonable({"__ndarray__": spec, "data": []})
+
     def test_nested_structures(self):
         payload = {
             "models": [np.ones(3), np.zeros(2)],
@@ -137,14 +203,6 @@ class TestTaggedJson:
     def test_unknown_types_rejected(self):
         with pytest.raises(TypeError, match="cannot encode"):
             to_jsonable({"bad": object()})
-
-    def test_save_load_json(self, tmp_path):
-        path = save_json(to_jsonable({"xs": np.array([1.5, 2.5])}),
-                         tmp_path / "sub" / "x.json")
-        decoded = from_jsonable(load_json(path))
-        np.testing.assert_array_equal(decoded["xs"], [1.5, 2.5])
-        with pytest.raises(FileNotFoundError):
-            load_json(tmp_path / "missing.json")
 
 
 class TestAdam:
