@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import Field, dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple, get_args, get_type_hints
@@ -300,6 +301,9 @@ def _check_types(config: ScenarioConfig) -> None:
         if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
             allowed = f"{kind.__name__} or None" if optional else kind.__name__
             raise ValueError(f"{name} must be {allowed}, got {value!r}")
+        # No float field gives inf or NaN a meaning.
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _reject_unknown(names) -> None:

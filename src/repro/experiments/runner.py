@@ -34,6 +34,7 @@ from repro.experiments.config import (
     hfl_config_for,
     make_sampler,
 )
+from repro.faults import CheckpointMismatchError, TrainerCheckpoint
 from repro.hfl.trainer import HFLTrainer, TrainingResult
 from repro.mobility.markov import MarkovMobilityModel
 from repro.mobility.streaming import (
@@ -318,6 +319,15 @@ def _scenario_overrides(args) -> Dict[str, object]:
     return overrides
 
 
+#: The option behind each :class:`~repro.faults.CheckpointMismatchError`
+#: field, for a one-line resume error.
+_MISMATCH_FLAGS: Dict[str, str] = {
+    **{f.name: f.metadata["flag"] for f in CLI_FIELDS},
+    "sampler": "--sampler",
+    "model": "--preset",
+}
+
+
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--preset", default="blobs-bench", choices=sorted(PRESETS),
@@ -529,6 +539,22 @@ def _run_command(args) -> int:
         if verbosity >= min_level:
             print(message)
 
+    resume_from = None
+    if args.resume is not None:
+        # Crash-safe resume: a truncated or checksum-corrupted primary
+        # checkpoint falls back to the rotated .prev copy that save()
+        # kept from the previous write.
+        resume_from, used = TrainerCheckpoint.load_with_fallback(args.resume)
+        if str(used) != str(args.resume):
+            echo(
+                f"warning: checkpoint at {args.resume} is unusable; "
+                f"resuming from the rotated copy {used} "
+                f"(step {resume_from.step})"
+            )
+        if args.seed is None:
+            # The checkpoint records its run's master seed.
+            args.seed = resume_from.master_seed
+
     config = PRESETS[args.preset].with_overrides(**_scenario_overrides(args))
 
     if args.obs_off and _obs_requested(args):
@@ -549,34 +575,28 @@ def _run_command(args) -> int:
 
         telemetry = TelemetryRecorder()
 
-    resume_from = None
-    if args.resume is not None:
-        # Crash-safe resume: a truncated or checksum-corrupted primary
-        # checkpoint falls back to the rotated .prev copy that save()
-        # kept from the previous write.
-        from repro.faults import TrainerCheckpoint
-
-        resume_from, used = TrainerCheckpoint.load_with_fallback(args.resume)
-        if str(used) != str(args.resume):
-            echo(
-                f"warning: checkpoint at {args.resume} is unusable; "
-                f"resuming from the rotated copy {used} "
-                f"(step {resume_from.step})"
-            )
-
     # Route through the public facade (lazy: repro.api sits above this
     # module in the import order).
     from repro.api import run_scenario
 
     start = time.perf_counter()
-    result = run_scenario(
-        config,
-        sampler=args.sampler,
-        stop_at_target=args.stop_at_target,
-        telemetry=telemetry,
-        resume_from=resume_from,
-        obs=obs,
-    )
+    try:
+        result = run_scenario(
+            config,
+            sampler=args.sampler,
+            stop_at_target=args.stop_at_target,
+            telemetry=telemetry,
+            resume_from=resume_from,
+            obs=obs,
+        )
+    except CheckpointMismatchError as error:
+        if obs is not None:
+            obs.close()
+        print(
+            f"{_PROG}: error: {error}; check {_MISMATCH_FLAGS[error.field]}",
+            file=sys.stderr,
+        )
+        return 2
     elapsed = time.perf_counter() - start
 
     reached = (

@@ -3,7 +3,7 @@
 The robustness layer of the engine: :class:`FaultProfile` configures
 four seeded fault types (mobility-coupled departure, straggler timeout,
 payload corruption, edge→cloud sync failure), :class:`SeededFaultModel`
-draws them from named ``(step, edge, device)`` streams so every
+draws them from named ``(step, edge)`` round streams so every
 executor backend stays bit-identical, and :class:`TrainerCheckpoint`
 makes long runs resumable with exact-history replay.  See DESIGN.md §8.
 """
@@ -11,12 +11,14 @@ makes long runs resumable with exact-history replay.  See DESIGN.md §8.
 from repro.faults.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointIntegrityError,
+    CheckpointMismatchError,
     TrainerCheckpoint,
 )
 from repro.faults.model import (
     FaultModel,
     SeededFaultModel,
     SyncOutcome,
+    UploadFaults,
     make_fault_model,
 )
 from repro.faults.profile import (
@@ -29,6 +31,7 @@ from repro.faults.profile import (
 __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointIntegrityError",
+    "CheckpointMismatchError",
     "FAULT_KINDS",
     "FAULT_PRESETS",
     "FaultModel",
@@ -36,6 +39,7 @@ __all__ = [
     "SeededFaultModel",
     "SyncOutcome",
     "TrainerCheckpoint",
+    "UploadFaults",
     "make_fault_model",
     "resolve_fault_profile",
 ]

@@ -63,6 +63,20 @@ class CheckpointIntegrityError(ValueError):
     """A checkpoint file is unreadable, truncated or fails its checksum."""
 
 
+class CheckpointMismatchError(ValueError):
+    """A checkpoint does not belong to the scenario that resumes it.
+
+    ``field`` names the setting that differs: a scenario field
+    (``"seed"``, ``"num_edges"``, ...), ``"sampler"``, or ``"model"``
+    for the model architecture, so a front end can name the option to
+    change.
+    """
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
 def _canonical_json(body: Dict[str, Any]) -> str:
     """The canonical JSON text of ``body`` (sorted keys, no whitespace)."""
     return json.dumps(body, sort_keys=True, separators=(",", ":"))

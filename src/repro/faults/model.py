@@ -8,19 +8,26 @@ decisions are made trainer-side, after the executor barrier, so the
 determinism contract is untouched.
 
 Determinism contract: every draw of :class:`SeededFaultModel` comes
-from a :class:`~repro.utils.rng.SeedSequenceFactory` named stream keyed
-by ``(step, edge, device)`` (plus the fault kind), derived from a child
-factory of the trainer's master seed.  Decisions therefore depend only
-on the master seed and the fault profile — never on executor backend,
-worker count or completion order — and serial and process runs stay
-bit-identical under any profile.
+from a :class:`~repro.utils.rng.SeedSequenceFactory` named stream of a
+child factory of the trainer's master seed, keyed by coordinates the
+trainer holds after the barrier.  An edge round's uploads share one
+stream, ``round_generator(step, edge, "fault/upload")``: the round's
+sampled devices are taken in ascending id order, and the model first
+draws a fixed-shape block — a departure, a dropout and a corruption
+uniform per device, then one lognormal straggler jitter per device —
+and only then the NaN/±Inf bursts of the corrupted survivors.  How much
+of the stream the block consumes never depends on an outcome.  A sync
+step draws from its own ``(step, edge, "fault/sync")`` stream.
+Decisions therefore depend only on the master seed and the fault
+profile — never on executor backend, worker count or completion order
+— and serial and process runs stay bit-identical under any profile.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +46,18 @@ class SyncOutcome:
     success: bool
     #: Total simulated exponential-backoff wait across the failures.
     backoff_seconds: float
+
+
+@dataclass(frozen=True)
+class UploadFaults:
+    """One edge round's upload-fault decisions."""
+
+    #: Device → fault kind (``"departure"`` or ``"straggler"``) of every
+    #: upload that misses the round, in ascending device order.
+    lost: Dict[int, str]
+    #: Device → ``(positions, values)`` of the NaN/±Inf burst written
+    #: into a surviving upload's payload, in ascending device order.
+    bursts: Dict[int, Tuple[np.ndarray, np.ndarray]]
 
 
 class FaultModel(ABC):
@@ -64,31 +83,34 @@ class FaultModel(ABC):
         """
 
     @abstractmethod
-    def upload_fault(
+    def upload_faults(
         self,
         step: int,
         edge: int,
-        device: int,
-        departed: bool,
+        devices: np.ndarray,
+        departed: np.ndarray,
         num_concurrent: int,
-    ) -> Optional[str]:
-        """Fault kind lost in transit, or ``None`` when the upload lands.
+        payload_size: int,
+    ) -> UploadFaults:
+        """The fate of one edge round's uploads.
 
-        ``departed`` flags a device that was inside the edge at the plan
-        phase but outside it at the finish phase (mobility-coupled
-        departure); ``num_concurrent`` is the round's participant count
-        (sharing the uplink, for the straggler deadline).
+        ``devices`` are the round's sampled devices in ascending id
+        order; ``departed[i]`` flags a device that was inside the edge
+        at the plan phase but outside it at the finish phase
+        (mobility-coupled departure); ``num_concurrent`` is the round's
+        participant count (sharing the uplink, for the straggler
+        deadline) and ``payload_size`` the length of each flat upload.
         """
-
-    @abstractmethod
-    def corrupt_payload(
-        self, step: int, edge: int, device: int, payload: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """A corrupted copy of ``payload``, or ``None`` when intact."""
 
     @abstractmethod
     def sync_outcome(self, step: int, edge: int) -> SyncOutcome:
         """Outcome of the edge→cloud attempt sequence at a sync step."""
+
+
+#: Values a corruption burst writes into a payload.
+_BAD_VALUES = [np.nan, np.inf, -np.inf]
+#: An upload's fate code: lands, lost to a departure, or late.
+_LOST_KINDS = (None, "departure", "straggler")
 
 
 class SeededFaultModel(FaultModel):
@@ -128,57 +150,58 @@ class SeededFaultModel(FaultModel):
 
     # -- upload-phase faults -------------------------------------------------
 
-    def upload_fault(
+    def upload_faults(
         self,
         step: int,
         edge: int,
-        device: int,
-        departed: bool,
+        devices: np.ndarray,
+        departed: np.ndarray,
         num_concurrent: int,
-    ) -> Optional[str]:
+        payload_size: int,
+    ) -> UploadFaults:
         profile = self.profile
-        if departed and profile.mobility_departure_rate > 0:
-            rng = self._rng(step, edge, f"fault/departure/{device}")
-            if rng.random() < profile.mobility_departure_rate:
-                return "departure"
-        if profile.dropout_rate > 0:
-            rng = self._rng(step, edge, f"fault/dropout/{device}")
-            if rng.random() < profile.dropout_rate:
-                return "departure"
-        if self._is_straggler(step, edge, device, num_concurrent):
-            return "straggler"
-        return None
+        rng = self._rng(step, edge, "fault/upload")
+        # The fixed-shape block: a departure, a dropout and a corruption
+        # uniform per device, then one lognormal jitter per device.
+        uniforms = rng.random((devices.size, 3))
+        jitter = rng.lognormal(0.0, profile.straggler_jitter_sigma, devices.size)
+        departs = departed & (uniforms[:, 0] < profile.mobility_departure_rate)
+        lost = departs | (uniforms[:, 1] < profile.dropout_rate)
+        late = ~lost & self._late(devices, jitter, num_concurrent)
+        corrupted = ~lost & ~late & (uniforms[:, 2] < profile.corruption_rate)
+        fates = lost + 2 * late  # an index into _LOST_KINDS
+        # Then, only for the corrupted survivors, their bursts: one bad
+        # burst rather than a fully garbled payload, the harder case
+        # for detection.
+        num_bad = max(1, payload_size // 1024)
+        return UploadFaults(
+            lost={
+                m: _LOST_KINDS[fate]
+                for m, fate in zip(devices.tolist(), fates.tolist())
+                if fate
+            },
+            bursts={
+                m: (
+                    rng.integers(0, payload_size, size=num_bad),
+                    rng.choice(_BAD_VALUES, size=num_bad),
+                )
+                for m in devices[corrupted].tolist()
+            },
+        )
 
-    def _is_straggler(
-        self, step: int, edge: int, device: int, num_concurrent: int
-    ) -> bool:
+    def _late(
+        self, devices: np.ndarray, jitter: np.ndarray, num_concurrent: int
+    ) -> np.ndarray:
+        """Which devices miss the straggler deadline."""
         deadline = self.profile.straggler_deadline_seconds
         if deadline is None or self._latency is None:
-            return False
-        jitter = 1.0
-        if self.profile.straggler_jitter_sigma > 0:
-            rng = self._rng(step, edge, f"fault/straggler/{device}")
-            jitter = rng.lognormal(0.0, self.profile.straggler_jitter_sigma)
-        elapsed = self._latency.compute_seconds(device) * jitter
-        elapsed += self._latency.upload_seconds(max(num_concurrent, 1))
+            return np.zeros(devices.size, dtype=bool)
+        latency = self._latency
+        elapsed = (
+            latency.config.compute_seconds_per_step / latency.speeds[devices]
+        ) * jitter
+        elapsed += latency.upload_seconds(max(num_concurrent, 1))
         return elapsed > deadline
-
-    def corrupt_payload(
-        self, step: int, edge: int, device: int, payload: np.ndarray
-    ) -> Optional[np.ndarray]:
-        if self.profile.corruption_rate <= 0:
-            return None
-        rng = self._rng(step, edge, f"fault/corruption/{device}")
-        if rng.random() >= self.profile.corruption_rate:
-            return None
-        corrupted = np.array(payload, dtype=float, copy=True)
-        # Flip a sparse set of coordinates to NaN/±Inf — one bad burst,
-        # not a fully garbled payload, the harder case for detection.
-        num_bad = max(1, corrupted.size // 1024)
-        positions = rng.integers(0, corrupted.size, size=num_bad)
-        values = rng.choice([np.nan, np.inf, -np.inf], size=num_bad)
-        corrupted[positions] = values
-        return corrupted
 
     # -- sync-phase faults ---------------------------------------------------
 

@@ -169,6 +169,7 @@ class HFLConfig:
     gossip_degree: int = 2
 
     def __post_init__(self) -> None:
+        check_positive("seed", self.seed, strict=False)
         check_positive("learning_rate", self.learning_rate)
         check_positive("local_epochs", self.local_epochs)
         check_positive("batch_size", self.batch_size)

@@ -33,7 +33,7 @@ and failed devices feed :meth:`~repro.sampling.base.Sampler
 .observe_failure` so MACH's UCB learns reliability.  Edge→cloud sync
 failures are retried with bounded exponential backoff, falling back to
 the edge's last successfully synced model.  All fault draws come from
-named ``(step, edge, device)`` seed streams, so the executor-backend
+named ``(step, edge)`` seed streams, so the executor-backend
 bit-identity contract holds under any profile, and
 checkpoint/resume (:class:`repro.faults.TrainerCheckpoint`) replays a
 killed run exactly.
@@ -61,7 +61,12 @@ import numpy as np
 
 from repro.churn import ChurnProcess, make_churn_process
 from repro.data.dataset import Dataset
-from repro.faults import FaultModel, TrainerCheckpoint, make_fault_model
+from repro.faults import (
+    CheckpointMismatchError,
+    FaultModel,
+    TrainerCheckpoint,
+    make_fault_model,
+)
 from repro.hfl.cloud import Cloud
 from repro.hfl.config import HFLConfig
 from repro.hfl.device import Device, LocalUpdateResult
@@ -447,7 +452,7 @@ class HFLTrainer:
         edge_id: int,
         results: Dict[int, LocalUpdateResult],
     ) -> "tuple[Dict[int, LocalUpdateResult], Dict[int, str], Dict[int, LocalUpdateResult]]":
-        """Pass every sampled upload through the fault model.
+        """Pass the round's sampled uploads through the fault model.
 
         Returns the surviving results, the failures (device → fault
         kind) and the *parked* uploads: with ``max_staleness > 0`` a
@@ -461,43 +466,41 @@ class HFLTrainer:
         non-finite values — the receiver-side integrity check that keeps
         a corrupted upload from ever reaching aggregation.
         """
-        num_sampled = len(results)
-        # O(1) membership probe per device against the next step's raw
-        # assignment row — no per-(edge, step) Python set to rebuild.
-        next_row = self.trace.assignment_row(t + 1)
-        surviving: Dict[int, LocalUpdateResult] = {}
-        failures: Dict[int, str] = {}
-        parked: Dict[int, LocalUpdateResult] = {}
+        order = sorted(results)
+        devices = np.array(order)
+        # One gather against the next step's raw assignment row — no
+        # per-(edge, step) Python set to rebuild.
+        departed = self.trace.assignment_row(t + 1)[devices] != edge_id
+        faults = self.fault_model.upload_faults(
+            t, edge_id, devices, departed, len(order), self.cloud.model.size
+        )
         park_late = self._max_staleness > 0
-        for m in sorted(results):
-            result = results[m]
-            departed = int(next_row[m]) != edge_id
-            kind = self.fault_model.upload_fault(
-                t, edge_id, m, departed, num_sampled
-            )
-            if kind == "straggler" and park_late:
-                # Late, not lost: the payload is intact (a straggler
-                # never reaches the corruption draw), it just missed
-                # the deadline.
-                parked[m] = result
-                continue
-            if kind is not None:
-                failures[m] = kind
-                continue
-            corrupted = self.fault_model.corrupt_payload(
-                t, edge_id, m, result.final_model
-            )
-            if corrupted is not None:
-                result = replace(result, final_model=corrupted)
-            surviving[m] = result
-        for m in sorted(surviving):
-            if not np.all(np.isfinite(surviving[m].final_model)):
-                failures[m] = "corruption"
-                del surviving[m]
-        for m in sorted(parked):
-            if not np.all(np.isfinite(parked[m].final_model)):
-                failures[m] = "corruption"
-                del parked[m]
+        # Late, not lost: a parked straggler's payload is intact (it
+        # never reaches the corruption draw), it just missed the
+        # deadline.
+        parked = {
+            m: results[m]
+            for m, kind in faults.lost.items()
+            if kind == "straggler" and park_late
+        }
+        failures = {
+            m: kind for m, kind in faults.lost.items() if m not in parked
+        }
+        surviving = {m: results[m] for m in order if m not in faults.lost}
+        for m, (positions, values) in faults.bursts.items():
+            corrupted = np.array(surviving[m].final_model, dtype=float)
+            corrupted[positions] = values
+            surviving[m] = replace(surviving[m], final_model=corrupted)
+        screened = [*surviving.items(), *parked.items()]
+        if screened:
+            finite = np.isfinite(
+                np.stack([result.final_model for _, result in screened])
+            ).all(axis=1)
+            for (m, _), ok in zip(screened, finite.tolist()):
+                if not ok:
+                    failures[m] = "corruption"
+                    surviving.pop(m, None)
+                    parked.pop(m, None)
         return surviving, failures, parked
 
     def _finish_round(
@@ -830,39 +833,67 @@ class HFLTrainer:
         if not isinstance(checkpoint, TrainerCheckpoint):
             checkpoint = TrainerCheckpoint.load(checkpoint)
         if checkpoint.master_seed != self.config.seed:
-            raise ValueError(
+            raise CheckpointMismatchError(
+                "seed",
                 f"checkpoint was written with seed {checkpoint.master_seed}, "
                 f"trainer has seed {self.config.seed}"
             )
         if checkpoint.sampler_name != self.sampler.name:
-            raise ValueError(
+            raise CheckpointMismatchError(
+                "sampler",
                 f"checkpoint was written with sampler "
                 f"{checkpoint.sampler_name!r}, trainer has {self.sampler.name!r}"
             )
         if checkpoint.topology_name != self.topology.name:
-            raise ValueError(
+            raise CheckpointMismatchError(
+                "topology",
                 f"checkpoint was written with topology "
                 f"{checkpoint.topology_name!r}, trainer has "
                 f"{self.topology.name!r}"
             )
         if checkpoint.aggregation_name != self.aggregation_strategy.name:
-            raise ValueError(
+            raise CheckpointMismatchError(
+                "aggregation_strategy",
                 f"checkpoint was written with aggregation strategy "
                 f"{checkpoint.aggregation_name!r}, trainer has "
                 f"{self.aggregation_strategy.name!r}"
             )
-        self.topology.load_state_dict(checkpoint.topology_state)
         if len(checkpoint.edge_models) != len(self.edges):
-            raise ValueError(
+            raise CheckpointMismatchError(
+                "num_edges",
                 f"checkpoint has {len(checkpoint.edge_models)} edges, "
                 f"trainer has {len(self.edges)}"
             )
+        if (checkpoint.churn_state is not None) != (self.churn is not None):
+            raise CheckpointMismatchError(
+                "churn_profile",
+                "checkpoint churn state does not match the trainer: "
+                f"checkpoint {'has' if checkpoint.churn_state else 'lacks'} "
+                "a churn process, the trainer "
+                f"{'has' if self.churn is not None else 'lacks'} one"
+            )
+        try:
+            self.topology.load_state_dict(checkpoint.topology_state)
+        except ValueError as error:
+            raise CheckpointMismatchError("topology", str(error)) from error
         if len(checkpoint.last_synced_edge_models) != len(self.edges):
             raise ValueError(
                 f"checkpoint has {len(checkpoint.last_synced_edge_models)} "
                 f"last-synced edge models, trainer has {len(self.edges)} edges"
             )
         model_shape = self.cloud.model.shape
+        if np.shape(checkpoint.cloud_model) != model_shape:
+            raise CheckpointMismatchError(
+                "model",
+                f"checkpoint has a model of shape "
+                f"{np.shape(checkpoint.cloud_model)}, trainer has {model_shape}",
+            )
+        if np.shape(checkpoint.participation_counts) != (self.trace.num_devices,):
+            raise CheckpointMismatchError(
+                "num_devices",
+                f"checkpoint counts {np.size(checkpoint.participation_counts)} "
+                f"devices, trainer has {self.trace.num_devices}",
+            )
         for edge, model in zip(self.edges, checkpoint.edge_models):
             edge.set_model(check_state_array("edge model", model, float, model_shape))
         self.cloud.model = check_state_array(
@@ -888,13 +919,6 @@ class HFLTrainer:
         )
         self._total_participants = checkpoint.total_participants
         self._reached_at = checkpoint.reached_target_at
-        if (checkpoint.churn_state is not None) != (self.churn is not None):
-            raise ValueError(
-                "checkpoint churn state does not match the trainer: "
-                f"checkpoint {'has' if checkpoint.churn_state else 'lacks'} "
-                "a churn process, the trainer "
-                f"{'has' if self.churn is not None else 'lacks'} one"
-            )
         if self.churn is not None:
             self.churn.load_state_dict(checkpoint.churn_state)
         self._stale_buffer = [

@@ -251,15 +251,19 @@ class WorkerContext:
         finals, losses, grad_sq = self._population_model().local_updates(
             starts, xs, ys, first.learning_rate
         )
+        # One reduction per chunk; each row's mean has the bits of
+        # np.mean over that row alone.
         return [
             (
                 item.device_id,
                 LocalUpdateResult(
                     device_id=item.device_id,
-                    final_model=finals[slot],
-                    grad_sq_norms=grad_sq[slot].tolist(),
-                    mean_loss=float(np.mean(losses[slot])),
+                    final_model=final,
+                    grad_sq_norms=norms,
+                    mean_loss=loss,
                 ),
             )
-            for slot, item in enumerate(items)
+            for item, final, norms, loss in zip(
+                items, finals, grad_sq.tolist(), losses.mean(axis=1).tolist()
+            )
         ]

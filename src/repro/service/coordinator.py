@@ -198,6 +198,8 @@ class Coordinator:
             isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
         ):
             raise ValueError(f"seed must be int, got {seed!r}")
+        if seed is not None and seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         with self._lock:
             if self._closed:
                 raise RuntimeError("coordinator is shut down")

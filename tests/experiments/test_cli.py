@@ -8,6 +8,7 @@ or a choice list, without failing here.
 
 import argparse
 
+import numpy as np
 import pytest
 
 import repro.api as api
@@ -143,3 +144,58 @@ def test_checkpoint_every_defaults_the_path(monkeypatch):
 def test_bad_flag_value_names_the_field(monkeypatch):
     with pytest.raises(ValueError, match="num_workers must be > 0"):
         scenario_for(monkeypatch, "--num-workers", "0")
+
+
+#: A short run that writes a checkpoint at steps 4 and 8.
+RESUME_RUN = ["--preset", "blobs-bench", "--sampler", "mach", "--steps", "10",
+              "--quiet"]
+
+
+@pytest.fixture
+def seed3_checkpoint(tmp_path):
+    path = tmp_path / "c.json"
+    assert runner.main([
+        "run", *RESUME_RUN, "--seed", "3", "--checkpoint-every", "4",
+        "--checkpoint-path", str(path),
+    ]) == 0
+    return path
+
+
+def test_resume_takes_the_checkpoint_seed(seed3_checkpoint, monkeypatch):
+    """``resume`` without ``--seed`` continues under the checkpoint's
+    seed and finishes where the uninterrupted run does."""
+    results = []
+    original = api.run_scenario
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(api, "run_scenario", spy)
+    assert runner.main(["resume", str(seed3_checkpoint), *RESUME_RUN]) == 0
+    assert runner.main(["run", *RESUME_RUN, "--seed", "3"]) == 0
+    resumed, uninterrupted = results
+    np.testing.assert_array_equal(
+        resumed.final_cloud_model, uninterrupted.final_cloud_model
+    )
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "5"),
+    ("--sampler", "uniform"),
+    ("--edges", "4"),
+    ("--devices", "60"),
+    ("--churn", "light"),
+    ("--topology", "gossip"),
+])
+def test_resume_mismatch_is_one_line_naming_the_flag(
+    seed3_checkpoint, capsys, flag, value
+):
+    capsys.readouterr()
+    code = runner.main(
+        ["resume", str(seed3_checkpoint), *RESUME_RUN, flag, value]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.rstrip().endswith(f"check {flag}")

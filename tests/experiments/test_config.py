@@ -1,11 +1,15 @@
 """Tests for the experiment scenario configuration and presets."""
 
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mach import MACHSampler
 from repro.experiments.config import (
+    FIELD_TYPES,
     PRESETS,
     SAMPLER_ABBREVIATIONS,
     SAMPLER_NAMES,
@@ -63,6 +67,11 @@ class TestScenarioConfig:
         ({"seed": "7"}, "seed must be int"),
         ({"num_workers": 2.0}, "num_workers must be int or None"),
         ({"topology": 3}, "topology must be str"),
+        # Hostile values fail at construction, naming the field.
+        ({"seed": -5}, "seed must be >= 0"),
+        ({"dirichlet_alpha": float("inf")}, "dirichlet_alpha must be finite"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite"),
+        ({"separation": -float("inf")}, "separation must be finite"),
     ])
     def test_rejects_bad_values(self, overrides, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -195,3 +204,58 @@ class TestMakeSampler:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown sampler"):
             make_sampler("oracle9000", ScenarioConfig())
+
+
+#: Any JSON-like scalar or container a request body could carry.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+#: Values of the right type, so validation reaches the range checks.
+_TYPED_VALUES = {
+    int: st.integers(min_value=-3, max_value=10**6),
+    float: st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(min_value=-1.0, max_value=2.0),
+    str: st.sampled_from(
+        ["none", "light", "moderate", "severe", "markov", "streaming",
+         "gossip", "clustered", "ipw", "process", "topk", "adaptive",
+         "dropout=0.2", "jitter=nan", "deadline=inf", "bogus", ""]
+    ),
+}
+
+
+@st.composite
+def scenario_dicts(draw):
+    """A preset's dict (or nothing) with some fields replaced or added."""
+    payload = draw(st.sampled_from([{}, PRESETS["blobs-bench"].to_dict()]))
+    payload = dict(payload)
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(FIELD_TYPES)) | st.text(max_size=8))
+        kind = FIELD_TYPES.get(name, (None, False))[0]
+        values = _JSON_VALUES
+        if kind is not None:
+            values = _TYPED_VALUES[kind] | _JSON_VALUES
+        payload[name] = draw(values)
+    return payload
+
+
+@given(payload=scenario_dicts())
+@settings(max_examples=300, deadline=None)
+def test_from_dict_builds_or_raises_value_error(payload):
+    """Every scenario dict either builds a valid config or is refused
+    with a ValueError; no other exception escapes."""
+    try:
+        config = ScenarioConfig.from_dict(payload)
+    except ValueError:
+        return
+    assert config.seed >= 0
+    for name, (kind, _optional) in FIELD_TYPES.items():
+        value = getattr(config, name)
+        if kind is float and value is not None:
+            assert math.isfinite(value), name

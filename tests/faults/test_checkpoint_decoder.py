@@ -21,7 +21,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.mach import MACHSampler
-from repro.faults import CheckpointIntegrityError, TrainerCheckpoint
+from repro.faults import (
+    CheckpointIntegrityError,
+    CheckpointMismatchError,
+    TrainerCheckpoint,
+)
 from repro.faults.checkpoint import _payload_checksum
 from repro.utils.serialization import from_jsonable, to_jsonable
 
@@ -99,9 +103,10 @@ def load_and_restore(text, workdir, target):
 
 
 def assert_named(exc):
-    """The error is an integrity error or a plain ``ValueError`` that
-    names the checkpoint — not a library error that leaked through."""
-    assert type(exc) is CheckpointIntegrityError or (
+    """The error is an integrity error, a mismatch error naming the
+    scenario field, or a plain ``ValueError`` that names the checkpoint
+    — not a library error that leaked through."""
+    assert type(exc) in (CheckpointIntegrityError, CheckpointMismatchError) or (
         type(exc) is ValueError and "checkpoint" in str(exc)
     ), repr(exc)
 

@@ -1,13 +1,11 @@
 """Trainer graceful degradation under injected faults."""
 
-from typing import Optional
-
 import numpy as np
 import pytest
 
 from repro.core.mach import MACHSampler
 from repro.data.synthetic import make_federated_task
-from repro.faults import FAULT_KINDS, FaultModel, SyncOutcome
+from repro.faults import FAULT_KINDS, FaultModel, SyncOutcome, UploadFaults
 from repro.hfl.config import HFLConfig
 from repro.hfl.edge import Edge
 from repro.hfl.device import LocalUpdateResult
@@ -50,15 +48,16 @@ class ScriptedFaultModel(FaultModel):
         self._corrupt = corrupt or (lambda t, e, m: False)
         self._sync_fails = sync_fails or (lambda t, e: False)
 
-    def upload_fault(self, step, edge, device, departed, num_concurrent):
-        return self._fail(step, edge, device, departed)
-
-    def corrupt_payload(self, step, edge, device, payload) -> Optional[np.ndarray]:
-        if not self._corrupt(step, edge, device):
-            return None
-        corrupted = np.array(payload, dtype=float, copy=True)
-        corrupted[0] = np.nan
-        return corrupted
+    def upload_faults(self, step, edge, devices, departed, num_concurrent,
+                      payload_size) -> UploadFaults:
+        lost, bursts = {}, {}
+        for m, left in zip(devices.tolist(), departed.tolist()):
+            kind = self._fail(step, edge, m, left)
+            if kind is not None:
+                lost[m] = kind
+            elif self._corrupt(step, edge, m):
+                bursts[m] = (np.array([0]), np.array([np.nan]))
+        return UploadFaults(lost=lost, bursts=bursts)
 
     def sync_outcome(self, step, edge) -> SyncOutcome:
         if self._sync_fails(step, edge):

@@ -81,70 +81,71 @@ BASE_GOLDEN = {
 }
 
 CHAOS_GOLDEN = {
-    "sha256": "d51960f683228fd35eaff5ef8beb69cebedb3a77d2da856d3f685ef4999b45c9",
+    "sha256": "26d98c3c80b274fc3e1b29f75b9bb0db083d80395cbdfb91be40253456c79efa",
     "participation_counts": [
-        1, 1, 0, 2, 0, 3, 2, 0, 3, 5, 5, 0, 2, 0, 3, 2, 3, 5, 2, 3, 1, 2, 2, 0,
-        6, 0, 3, 2, 0, 5, 0, 2, 1, 2, 0, 1, 2, 4, 0, 3, 4, 0, 1, 5, 3, 0, 3, 3,
-        0, 4, 5, 0, 5, 3, 0, 2, 4, 4, 2, 0, 3, 3, 2, 3, 3, 5, 3, 2, 4, 3, 5, 0,
-        1, 1, 3, 0, 4, 0, 4, 0, 4, 5, 4, 3, 3, 3, 3, 3, 4, 4, 3, 1, 1, 2, 3, 5,
-        3, 1, 2, 6, 3, 5, 4, 1, 4, 5, 2, 3, 4, 2, 4, 3, 5, 1, 1, 4, 2, 3, 4, 2,
-        1, 4, 3, 4, 3, 0, 1, 2, 4, 3, 2, 1, 4, 2, 1, 3, 1, 1, 2, 1, 4, 1, 4, 3,
-        6, 4, 1, 3, 2, 2, 6, 6, 2, 2, 0, 6, 1, 3, 0, 4, 7, 0, 4, 3, 5, 1, 3, 3,
-        3, 2, 4, 2, 2, 2, 8, 3, 4, 2, 2, 3, 3, 2, 3, 1, 0, 0, 2, 0, 2, 0, 0, 5,
-        2, 5, 4, 1, 0, 2, 2, 4, 2, 2, 3, 1, 2, 1, 2, 2, 1, 3, 6, 1, 0, 4, 6, 2,
-        3, 5, 4, 0, 3, 1, 2, 0, 7, 0, 2, 2, 3, 0, 3, 2, 0, 1, 2, 0, 3, 2, 3, 1,
-        1, 4, 2, 4, 2, 1, 1, 2, 3, 2, 1, 0, 2, 2, 3, 1, 3, 0, 3, 4, 1, 0, 1, 2,
-        0, 2, 6, 3, 0, 3, 3, 1, 4, 0, 2, 1, 2, 5, 2, 2, 4, 3, 1, 1, 1, 2, 1, 3,
-        5, 2, 3, 1, 3, 5, 2, 2, 3, 3, 2, 2
+        3, 1, 4, 3, 2, 3, 2, 0, 0, 5, 6, 0, 4, 3, 4, 3, 4, 2, 3, 0, 1, 3, 1,
+        1, 6, 2, 2, 3, 0, 4, 0, 0, 1, 3, 1, 1, 3, 4, 4, 6, 4, 0, 1, 5, 2, 2,
+        1, 4, 0, 3, 5, 6, 4, 0, 0, 3, 3, 0, 2, 4, 3, 1, 2, 3, 3, 4, 2, 2, 2,
+        0, 4, 0, 1, 0, 5, 0, 0, 2, 4, 3, 5, 4, 3, 3, 3, 2, 3, 2, 4, 4, 3, 1,
+        1, 2, 3, 5, 2, 1, 2, 6, 2, 0, 3, 2, 0, 3, 3, 2, 4, 2, 3, 2, 5, 1, 1,
+        5, 2, 3, 5, 4, 1, 4, 0, 4, 4, 2, 1, 3, 5, 3, 3, 3, 3, 2, 0, 4, 0, 3,
+        5, 4, 4, 1, 4, 3, 4, 4, 1, 0, 0, 4, 5, 5, 3, 3, 0, 5, 1, 3, 0, 3, 6,
+        0, 2, 3, 6, 0, 3, 2, 3, 2, 4, 2, 2, 1, 7, 3, 4, 0, 0, 3, 4, 2, 2, 0,
+        0, 3, 2, 0, 3, 0, 0, 5, 2, 4, 4, 3, 2, 0, 2, 0, 3, 4, 2, 1, 2, 1, 2,
+        2, 2, 1, 2, 2, 0, 4, 5, 2, 3, 3, 4, 4, 3, 1, 2, 2, 2, 0, 0, 2, 2, 3,
+        4, 3, 2, 2, 2, 1, 3, 1, 3, 2, 0, 5, 2, 6, 2, 1, 2, 0, 6, 2, 1, 2, 3,
+        2, 2, 2, 3, 0, 4, 3, 1, 0, 1, 1, 0, 3, 0, 3, 0, 4, 6, 0, 5, 0, 2, 1,
+        2, 6, 2, 3, 5, 5, 1, 2, 1, 2, 0, 2, 6, 2, 1, 2, 3, 4, 1, 2, 3, 3, 2, 2
     ],
     "per_step": [
-        28, 23, 22, 25, 37, 12, 24, 22, 33, 30, 25, 26, 26, 21, 20, 18, 21, 17,
-        30, 29, 27, 22, 21, 24, 27, 24, 19, 30, 25, 9
+        27, 21, 26, 24, 38, 13, 24, 19, 37, 26, 24, 26, 26, 20, 16, 19, 20,
+        24, 35, 28, 26, 27, 17, 24, 22, 27, 16, 26, 23, 13
     ],
     "per_round": [
-        6, 2, 6, 8, 6, 3, 2, 3, 6, 9, 3, 5, 5, 7, 2, 3, 11, 4, 3, 4, 11, 7, 7,
-        8, 4, 1, 4, 4, 1, 2, 5, 5, 4, 5, 5, 3, 6, 6, 4, 3, 6, 7, 6, 8, 6, 5, 7,
-        4, 6, 8, 4, 5, 6, 7, 3, 9, 3, 5, 2, 7, 8, 5, 4, 5, 4, 5, 3, 4, 4, 5, 2,
-        3, 5, 5, 5, 3, 6, 4, 2, 3, 5, 5, 6, 3, 2, 3, 4, 2, 4, 4, 7, 8, 4, 8, 3,
-        5, 7, 5, 6, 6, 5, 4, 8, 4, 6, 3, 4, 7, 7, 1, 2, 8, 1, 4, 6, 5, 7, 5, 2,
-        5, 3, 5, 6, 7, 6, 2, 5, 4, 7, 6, 8, 4, 4, 1, 2, 7, 5, 4, 10, 4, 4, 3,
-        5, 5, 8, 1, 2, 5, 1, 0
+        7, 3, 4, 9, 4, 3, 2, 5, 5, 6, 3, 6, 7, 7, 3, 5, 8, 3, 4, 4, 12, 7, 7,
+        7, 5, 2, 3, 5, 1, 2, 4, 7, 5, 5, 3, 3, 5, 6, 2, 3, 10, 6, 6, 10, 5, 5,
+        6, 5, 4, 6, 4, 4, 4, 9, 3, 8, 3, 6, 2, 7, 5, 5, 2, 6, 8, 7, 3, 4, 2,
+        4, 2, 3, 3, 4, 4, 5, 5, 4, 2, 3, 5, 4, 8, 2, 1, 5, 6, 5, 2, 6, 8, 8,
+        5, 8, 6, 6, 6, 4, 6, 6, 4, 5, 5, 6, 6, 3, 4, 8, 8, 4, 0, 5, 3, 5, 4,
+        7, 4, 5, 2, 6, 4, 4, 3, 4, 7, 2, 4, 4, 10, 7, 5, 2, 3, 2, 4, 9, 2, 3,
+        11, 1, 3, 3, 5, 2, 10, 2, 3, 2, 3, 3
     ],
     # late admits, late drops, devices joined, devices left
-    "open_world": (4, 0, 68, 128),
+    "open_world": (9, 0, 68, 128),
 }
 
 CHAOS_DELTA_GOLDEN = {
-    "sha256": "d66e40ecd53981191ca0ec0f4f6fbef9077c229137b95433c11366e1975b0875",
+    "sha256": "526786cad93c6a205dca6dc787b62dbe069815c58c079fcc2bc9bc9b5af61ef9",
     "participation_counts": [
-        1, 1, 0, 2, 0, 3, 2, 0, 3, 5, 5, 0, 2, 0, 3, 2, 3, 5, 2, 3, 1, 2, 2, 0,
-        6, 0, 3, 2, 0, 3, 0, 2, 1, 2, 0, 1, 2, 4, 0, 4, 4, 0, 1, 5, 2, 0, 3, 3,
-        0, 4, 5, 0, 5, 3, 0, 2, 4, 4, 2, 0, 3, 3, 2, 3, 3, 5, 3, 2, 4, 3, 6, 0,
-        1, 1, 3, 0, 4, 0, 4, 0, 4, 4, 4, 3, 3, 3, 3, 2, 4, 4, 5, 1, 1, 2, 3, 4,
-        3, 1, 2, 5, 3, 6, 4, 1, 3, 4, 2, 3, 4, 2, 4, 3, 5, 1, 1, 4, 2, 3, 4, 2,
-        1, 4, 3, 3, 3, 0, 1, 2, 4, 3, 2, 2, 4, 3, 1, 3, 1, 1, 2, 1, 4, 1, 4, 3,
-        6, 4, 1, 4, 2, 2, 5, 6, 2, 2, 0, 6, 1, 3, 0, 4, 7, 0, 4, 3, 5, 1, 3, 3,
-        3, 2, 4, 2, 2, 2, 8, 3, 3, 2, 2, 4, 3, 2, 3, 1, 0, 0, 2, 0, 2, 0, 0, 5,
-        2, 5, 4, 1, 0, 2, 2, 4, 2, 2, 3, 1, 1, 1, 2, 2, 1, 3, 6, 1, 0, 4, 6, 2,
-        3, 6, 4, 0, 2, 1, 2, 0, 7, 0, 2, 2, 3, 0, 3, 2, 0, 1, 2, 0, 3, 2, 2, 1,
-        1, 4, 2, 4, 2, 1, 1, 2, 3, 3, 1, 0, 2, 2, 3, 1, 3, 0, 3, 4, 1, 0, 1, 2,
-        0, 2, 7, 3, 0, 3, 4, 1, 4, 0, 2, 1, 3, 5, 2, 2, 4, 3, 1, 2, 1, 2, 2, 3,
-        5, 2, 3, 1, 2, 5, 2, 2, 3, 2, 2, 2
+        3, 1, 4, 3, 2, 3, 2, 0, 0, 5, 4, 0, 4, 3, 2, 3, 4, 2, 2, 0, 1, 2, 2,
+        2, 6, 2, 2, 3, 0, 4, 0, 0, 1, 3, 1, 1, 3, 3, 4, 4, 4, 0, 1, 5, 2, 2,
+        1, 4, 0, 3, 4, 6, 4, 0, 0, 3, 3, 0, 2, 4, 2, 1, 2, 3, 3, 4, 2, 2, 2,
+        0, 4, 0, 1, 0, 5, 0, 0, 2, 4, 3, 5, 4, 4, 3, 3, 2, 4, 2, 4, 4, 4, 1,
+        1, 2, 3, 6, 2, 1, 2, 6, 3, 0, 3, 1, 0, 3, 3, 2, 4, 2, 5, 2, 5, 1, 1,
+        5, 2, 3, 5, 3, 1, 6, 0, 4, 2, 2, 1, 3, 5, 2, 3, 3, 4, 2, 0, 4, 0, 3,
+        5, 4, 4, 1, 4, 3, 4, 5, 1, 0, 0, 3, 5, 5, 2, 2, 0, 5, 1, 3, 0, 3, 6,
+        0, 2, 3, 6, 0, 3, 2, 3, 2, 4, 3, 2, 1, 7, 3, 4, 0, 0, 3, 3, 2, 2, 0,
+        0, 3, 2, 0, 3, 0, 0, 5, 4, 4, 4, 3, 2, 0, 2, 0, 3, 3, 3, 1, 2, 1, 2,
+        3, 1, 1, 2, 2, 0, 4, 5, 2, 3, 3, 4, 2, 2, 1, 2, 2, 3, 0, 0, 2, 2, 3,
+        4, 3, 2, 2, 2, 1, 2, 3, 2, 1, 0, 5, 2, 6, 2, 2, 2, 0, 4, 2, 1, 2, 2,
+        3, 3, 1, 3, 0, 4, 3, 1, 0, 1, 1, 0, 3, 0, 3, 0, 4, 4, 0, 4, 0, 2, 1,
+        1, 5, 3, 3, 4, 6, 1, 2, 1, 2, 0, 2, 6, 1, 1, 2, 2, 4, 1, 2, 4, 3, 0, 3
     ],
     "per_step": [
-        28, 23, 22, 25, 37, 12, 24, 22, 33, 30, 25, 23, 25, 20, 20, 19, 21, 17,
-        32, 30, 27, 23, 22, 24, 25, 25, 18, 29, 24, 11
+        27, 21, 26, 24, 38, 13, 24, 19, 37, 26, 24, 25, 27, 21, 16, 16, 22,
+        25, 33, 26, 27, 27, 17, 21, 20, 24, 16, 25, 20, 12
     ],
     "per_round": [
-        6, 2, 6, 8, 6, 3, 2, 3, 6, 9, 3, 5, 5, 7, 2, 3, 11, 4, 3, 4, 11, 7, 7,
-        8, 4, 1, 4, 4, 1, 2, 5, 5, 4, 5, 5, 3, 6, 6, 4, 3, 6, 7, 6, 8, 6, 5, 7,
-        4, 6, 8, 4, 5, 6, 7, 3, 7, 3, 4, 2, 7, 7, 5, 4, 5, 4, 5, 3, 4, 4, 4, 2,
-        3, 5, 5, 5, 3, 6, 4, 2, 4, 5, 5, 6, 3, 2, 3, 4, 2, 4, 4, 7, 8, 4, 8, 5,
-        5, 7, 6, 6, 6, 5, 4, 8, 4, 6, 3, 5, 7, 7, 1, 3, 7, 2, 4, 6, 5, 7, 5, 2,
-        5, 2, 5, 6, 7, 5, 2, 6, 4, 7, 6, 7, 4, 4, 1, 2, 8, 5, 4, 8, 4, 4, 3, 6,
-        3, 8, 1, 3, 5, 1, 1
+        7, 3, 4, 9, 4, 3, 2, 5, 5, 6, 3, 6, 7, 7, 3, 5, 8, 3, 4, 4, 12, 7, 7,
+        7, 5, 2, 3, 5, 1, 2, 4, 7, 5, 5, 3, 3, 5, 6, 2, 3, 10, 6, 6, 10, 5, 5,
+        6, 5, 4, 6, 4, 4, 4, 9, 3, 8, 2, 5, 3, 7, 6, 5, 2, 6, 8, 7, 4, 4, 2,
+        4, 2, 3, 3, 4, 4, 4, 5, 2, 2, 3, 5, 5, 8, 2, 2, 5, 5, 5, 4, 6, 8, 7,
+        5, 7, 6, 5, 6, 4, 6, 5, 5, 5, 5, 6, 6, 3, 5, 8, 7, 4, 0, 5, 3, 5, 4,
+        5, 4, 5, 2, 5, 4, 4, 3, 4, 5, 3, 3, 2, 10, 6, 5, 2, 3, 3, 3, 9, 2, 3,
+        10, 1, 3, 3, 5, 2, 7, 2, 3, 2, 3, 2
     ],
-    "open_world": (4, 0, 68, 128),
+    # late admits, late drops, devices joined, devices left
+    "open_world": (10, 0, 68, 128),
 }
 
 pytestmark = pytest.mark.skipif(

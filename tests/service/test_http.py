@@ -157,6 +157,12 @@ class TestErrors:
             ({"preset": "blobs-bench", "seed": "3"}, "seed must be int"),
             ({"preset": "blobs-bench", "overrides": [1]},
              "'overrides' must be a JSON object"),
+            ({"preset": "blobs-bench", "overrides": {"seed": -5}},
+             "seed must be >= 0"),
+            ({"preset": "blobs-bench", "seed": -5}, "seed must be >= 0"),
+            ({"preset": "blobs-bench",
+              "overrides": {"dirichlet_alpha": float("inf")}},
+             "dirichlet_alpha must be finite"),
         ]
         for body, message in cases:
             with pytest.raises(ServiceError) as excinfo:
