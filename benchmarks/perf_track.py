@@ -156,18 +156,6 @@ def _adapt_scale(payload: dict) -> List[PerfCell]:
     return cells
 
 
-def _adapt_hotpath(payload: dict) -> List[PerfCell]:
-    return [
-        PerfCell(f"hotpath/{row['workload']}", {
-            "speedup": row["speedup"],
-            "identical": row["identical"],
-            "reference_seconds": row["reference"].get("seconds"),
-            "optimized_seconds": row["optimized"].get("seconds"),
-        })
-        for row in payload["results"]
-    ]
-
-
 def _adapt_runtime(payload: dict) -> List[PerfCell]:
     return [
         PerfCell(f"runtime/{row['backend']}/{row['workers']}w", {
@@ -214,7 +202,6 @@ def _adapt_churn(payload: dict) -> List[PerfCell]:
 ADAPTERS: Dict[str, Callable[[dict], List[PerfCell]]] = {
     "BENCH_obs.json": _adapt_obs,
     "BENCH_scale.json": _adapt_scale,
-    "BENCH_hotpath.json": _adapt_hotpath,
     "BENCH_runtime.json": _adapt_runtime,
     "BENCH_topology.json": _adapt_topology,
     "BENCH_churn.json": _adapt_churn,

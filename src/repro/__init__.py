@@ -42,7 +42,6 @@ from repro.data import (
     make_synthetic_image_dataset,
 )
 from repro.hfl import HFLConfig, HFLTrainer, TelemetryRecorder, TrainingResult
-from repro.hotpath import hotpath_disabled, hotpath_enabled, set_hotpath_enabled
 from repro.mobility import (
     MarkovMobilityModel,
     OrderKMarkovPredictor,
@@ -106,9 +105,6 @@ __all__ = [
     "PowerOfChoiceSampler",
     "BudgetedSampler",
     "TelemetryRecorder",
-    "hotpath_enabled",
-    "set_hotpath_enabled",
-    "hotpath_disabled",
     "OrderKMarkovPredictor",
     "RandomWaypointModel",
     "__version__",

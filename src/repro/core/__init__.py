@@ -25,7 +25,7 @@ from repro.core.edge_sampling import (
 )
 from repro.core.budget import BudgetedSampler, TimeAveragedBudget
 from repro.core.problem import Problem1Solution, solve_problem1, verify_closed_form
-from repro.core.experience import DeviceExperience, ExperienceTracker
+from repro.core.experience import ExperienceTracker
 from repro.core.mach import MACHConfig, MACHSampler
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "solve_problem1",
     "verify_closed_form",
     "TimeAveragedBudget",
-    "DeviceExperience",
     "ExperienceTracker",
     "MACHConfig",
     "MACHSampler",

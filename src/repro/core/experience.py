@@ -38,7 +38,6 @@ Other documented deviations: Eq. (15)'s ``log(t)`` is undefined at
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -71,227 +70,6 @@ _STATE_COLUMNS = {
 _EMPTY_BUFFER = np.empty(0)
 
 
-class DeviceExperience:
-    """Per-device state of Algorithm 2."""
-
-    def __init__(self, device_id: int, window: str = "recent") -> None:
-        check_membership("window", window, WINDOW_MODES)
-        self.device_id = device_id
-        self.window = window
-        #: Gradient experience buffer G^t_m (squared norms since last sync).
-        self.buffer: List[float] = []
-        #: Max over participated-step buffer averages in the current window.
-        self.window_best: float = 0.0
-        #: Whether the device participated at least once this window.
-        self.window_participated: bool = False
-        #: Lifetime max over participated-step buffer averages (term A,
-        #: literal Eq. (15) reading).
-        self.lifetime_best: float = 0.0
-        #: Total participation count Σ_{t'} 1^{t'}_{m,n}.
-        self.participation_count: int = 0
-        #: Latest exploitation value carried across syncs.
-        self._exploit: Optional[float] = None
-        #: Latest full UCB estimate G̃²_m (None until first computable).
-        self._estimate: Optional[float] = None
-
-    def record(self, grad_sq_norms: Sequence[float]) -> None:
-        """Fold one participated step's local gradients into the buffer.
-
-        Implements Eq. (14) followed by the in-place update of the
-        exploitation term's running maximum.
-        """
-        norms = [float(g) for g in grad_sq_norms]
-        if not norms:
-            raise ValueError("a participated step must report >= 1 gradient norm")
-        if any(g < 0 for g in norms):
-            raise ValueError("squared gradient norms must be non-negative")
-        self.buffer.extend(norms)
-        self.participation_count += 1
-        running_average = float(np.mean(self.buffer))
-        self.window_best = max(self.window_best, running_average)
-        self.window_participated = True
-        self.lifetime_best = max(self.lifetime_best, running_average)
-
-    def record_failure(self) -> None:
-        """A sampled-but-failed step: the device was tried but uploaded
-        nothing.
-
-        Counts toward Σ 1^{t'}_{m,n} — shrinking the exploration bonus
-        — while leaving the exploitation term untouched, so a device
-        that keeps failing drifts down the UCB ranking: the estimator
-        learns device *reliability* alongside gradient magnitude.
-        """
-        self.participation_count += 1
-
-    def exploration_bonus(self, t: int) -> float:
-        """Term B of Eq. (15); infinite when the device was never sampled."""
-        if self.participation_count == 0:
-            return math.inf
-        return math.sqrt(math.log(t + 1) / self.participation_count)
-
-    def _exploitation(self) -> float:
-        """Term A under the configured window mode."""
-        if self.window == "lifetime":
-            return self.lifetime_best
-        if self.window_participated:
-            return self.window_best
-        # No participation this window: carry the previous estimate.
-        return self._exploit if self._exploit is not None else 0.0
-
-    def ucb_estimate(self, t: int) -> float:
-        """The full Eq. (15) score at communication step ``t``."""
-        return self._exploitation() + self.exploration_bonus(t)
-
-    def sync(self, t: int) -> float:
-        """Algorithm 2 lines 2–4: refresh G̃²_m and clear the buffer."""
-        self._exploit = self._exploitation()
-        self._estimate = self._exploit + self.exploration_bonus(t)
-        self.buffer = []
-        self.window_best = 0.0
-        self.window_participated = False
-        return self._estimate
-
-    @property
-    def estimate(self) -> float:
-        """Latest synced G̃²_m; infinite before the device is ever estimated."""
-        if self._estimate is None:
-            return math.inf
-        return self._estimate
-
-    def audit_components(self) -> "tuple[float, float, float]":
-        """The latest synced ``(empirical, bonus, estimate)`` decomposition.
-
-        ``empirical`` is the Eq. (15) exploitation term at the last
-        sync (0.0 before any sync), ``bonus`` the exploration term
-        (recovered exactly as ``estimate − empirical`` since the sync
-        computed ``estimate = empirical + bonus``; infinite while the
-        device was never estimated), ``estimate`` the G̃²_m the edge
-        strategy consumes.  Read-only — used by the MACH decision audit
-        trail (:mod:`repro.obs.audit`).
-        """
-        empirical = self._exploit if self._exploit is not None else 0.0
-        estimate = self.estimate
-        bonus = estimate - empirical if math.isfinite(estimate) else math.inf
-        return empirical, bonus, estimate
-
-    def state_dict(self) -> dict:
-        """JSON-compatible snapshot of the Algorithm-2 state."""
-        return {
-            "buffer": list(self.buffer),
-            "window_best": self.window_best,
-            "window_participated": self.window_participated,
-            "lifetime_best": self.lifetime_best,
-            "participation_count": self.participation_count,
-            "exploit": self._exploit,
-            "estimate": self._estimate,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output."""
-        self.buffer = [float(g) for g in state["buffer"]]
-        self.window_best = float(state["window_best"])
-        self.window_participated = bool(state["window_participated"])
-        self.lifetime_best = float(state["lifetime_best"])
-        self.participation_count = int(state["participation_count"])
-        self._exploit = None if state["exploit"] is None else float(state["exploit"])
-        self._estimate = (
-            None if state["estimate"] is None else float(state["estimate"])
-        )
-
-
-class DeviceExperienceView:
-    """Read-only per-device window into the tracker's array storage.
-
-    Mirrors the :class:`DeviceExperience` attribute surface (buffer,
-    bests, counts, :meth:`exploration_bonus`, :attr:`estimate`) so
-    diagnostics written against the scalar implementation keep working
-    against the array-backed tracker.  Mutations go through the tracker.
-    """
-
-    __slots__ = ("_tracker", "device_id")
-
-    def __init__(self, tracker: "ExperienceTracker", device_id: int) -> None:
-        self._tracker = tracker
-        self.device_id = device_id
-
-    @property
-    def window(self) -> str:
-        return self._tracker.window
-
-    @property
-    def buffer(self) -> List[float]:
-        t, m = self._tracker, self.device_id
-        return [float(g) for g in t._buffer_data[m][: int(t._buffer_len[m])]]
-
-    @property
-    def window_best(self) -> float:
-        return float(self._tracker._window_best[self.device_id])
-
-    @property
-    def window_participated(self) -> bool:
-        return bool(self._tracker._window_participated[self.device_id])
-
-    @property
-    def lifetime_best(self) -> float:
-        return float(self._tracker._lifetime_best[self.device_id])
-
-    @property
-    def participation_count(self) -> int:
-        return int(self._tracker._participation_count[self.device_id])
-
-    @property
-    def estimate(self) -> float:
-        """Latest synced G̃²_m; infinite before the device is ever estimated."""
-        return float(self._tracker.estimates([self.device_id])[0])
-
-    def exploration_bonus(self, t: int) -> float:
-        """Term B of Eq. (15); infinite when the device was never sampled."""
-        count = self.participation_count
-        if count == 0:
-            return math.inf
-        return math.sqrt(math.log(t + 1) / count)
-
-    def audit_components(self) -> "tuple[float, float, float]":
-        """The latest synced ``(empirical, bonus, estimate)`` decomposition."""
-        components = self._tracker.audit_components([self.device_id])
-        return (
-            components["empirical"][0],
-            components["bonus"][0],
-            components["estimate"][0],
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"DeviceExperienceView(device_id={self.device_id}, "
-            f"participation_count={self.participation_count})"
-        )
-
-
-class _DeviceViews(Mapping):
-    """Mapping of device id → :class:`DeviceExperienceView`.
-
-    Keeps ``tracker.devices`` usable like the old ``Dict[int,
-    DeviceExperience]``: ``tracker.devices[m]``, iteration over ids,
-    ``len``, ``in`` and ``max`` all behave as before.
-    """
-
-    __slots__ = ("_tracker",)
-
-    def __init__(self, tracker: "ExperienceTracker") -> None:
-        self._tracker = tracker
-
-    def __getitem__(self, device: int) -> DeviceExperienceView:
-        if not 0 <= device < self._tracker.num_devices:
-            raise KeyError(f"unknown device {device}")
-        return DeviceExperienceView(self._tracker, int(device))
-
-    def __iter__(self):
-        return iter(range(self._tracker.num_devices))
-
-    def __len__(self) -> int:
-        return self._tracker.num_devices
-
-
 class ExperienceTracker:
     """The population of per-device experiences, synced on Algorithm 1's clock.
 
@@ -299,21 +77,19 @@ class ExperienceTracker:
     structure-of-arrays numpy storage sized by the explicit device
     population, so the per-sync refresh (:meth:`sync_all`) and the
     per-plan reads (:meth:`estimates` / :meth:`audit_components`) are
-    single vectorized ops instead of Python loops over
-    :class:`DeviceExperience` objects.  The public surface and numerical
-    behavior are unchanged from the scalar implementation
-    (:class:`DeviceExperience` remains the per-device reference twin,
-    tested for exact agreement); :meth:`state_dict` is columnar, one
-    array per field.
+    single vectorized ops instead of Python loops over per-device
+    objects.  The values match Algorithm 2 read literally, one device
+    at a time, bit for bit (``tests/core`` keeps that scalar reading as
+    the oracle); :meth:`state_dict` is columnar, one array per field.
 
-    Two bit-stability choices keep kill/resume and the reference twin
-    exact: the running buffer average is ``np.mean`` over the *full*
-    buffer (pairwise summation over the same values is deterministic,
-    whereas a running sum would group additions differently after
-    a checkpoint restore), and every bonus computation uses the same
-    ``math.log`` / ``np.sqrt`` / divide sequence the scalar twin makes
-    (all correctly rounded elementwise, so vector and scalar results
-    match bit for bit).
+    Two bit-stability choices keep kill/resume exact and the scalar
+    reading's bits: the running buffer average is ``np.mean`` over the
+    *full* buffer (pairwise summation over the same values is
+    deterministic, whereas a running sum would group additions
+    differently after a checkpoint restore), and every bonus
+    computation is the scalar ``math.log`` followed by the elementwise
+    ``np.sqrt`` / divide (all correctly rounded, so vector and scalar
+    results match bit for bit).
 
     Lazy per-device sync
     --------------------
@@ -373,11 +149,6 @@ class ExperienceTracker:
         self._explicit_estimate[device] = value
         self._has_explicit[device] = True
 
-    @property
-    def devices(self) -> _DeviceViews:
-        """Mapping of device id → read-only per-device experience view."""
-        return _DeviceViews(self)
-
     def _check_device(self, device: int) -> int:
         if not 0 <= device < self.num_devices:
             raise KeyError(f"unknown device {device}")
@@ -420,7 +191,14 @@ class ExperienceTracker:
             self._lifetime_best[m] = running_average
 
     def record_failure(self, device: int) -> None:
-        """Record a sampled-but-failed step for ``device``."""
+        """A sampled-but-failed step: the device was tried but uploaded
+        nothing.
+
+        Counts toward Σ 1^{t'}_{m,n}, shrinking the exploration bonus,
+        while leaving the exploitation term untouched, so a device that
+        keeps failing drifts down the UCB ranking: the estimator learns
+        device *reliability* alongside gradient magnitude.
+        """
         m = self._check_device(device)
         self._participation_count[m] += 1
         self._touched.add(m)
@@ -441,8 +219,8 @@ class ExperienceTracker:
         their learned state untouched; before the first sync there is
         no population prior and the arrival stays in the ordinary
         never-tried regime.  Returns whether the seeding happened.
-        Tracker-level only: the prior is a population statistic the
-        scalar :class:`DeviceExperience` twin has no view of.
+        Tracker-level only: the prior is a population statistic no
+        single device's state holds.
         """
         m = self._check_device(device)
         if self._participation_count[m] > 0 or self._has_estimate(m):
@@ -540,8 +318,10 @@ class ExperienceTracker:
         """Per-device UCB decomposition for the requested devices.
 
         Returns aligned ``empirical`` / ``bonus`` / ``estimate`` lists —
-        the audit-trail view of :meth:`estimates` (see
-        :meth:`DeviceExperience.audit_components`).
+        the audit-trail view of :meth:`estimates`.  ``empirical`` is the
+        Eq. (15) exploitation term at the last sync (0.0 before any
+        sync), ``bonus`` the exploration term, recovered exactly as
+        ``estimate − empirical`` (infinite while never estimated).
         """
         idx = self._check_indices(device_indices)
         has_exploit = self._has_exploit[idx] | (self._num_syncs > 0)
@@ -570,8 +350,8 @@ class ExperienceTracker:
         One array per Algorithm-2 field, indexed by device id; the
         buffers are concatenated in device order (CSR layout, row
         lengths in ``buffer_len``).  ``has_exploit`` / ``has_estimate``
-        mark the devices whose ``exploit`` / ``estimate`` entry is set
-        (the scalar twin's non-``None`` values), so an infinite
+        mark the devices whose ``exploit`` / ``estimate`` entry is set,
+        so an infinite
         never-tried estimate is a value, not a sentinel.
         """
         all_devices = np.arange(self.num_devices)

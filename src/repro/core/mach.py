@@ -149,7 +149,7 @@ class MACHSampler(Sampler):
         """A sampled device failed to upload: count the attempt so the
         UCB exploration bonus shrinks without any exploitation credit —
         the estimator learns device reliability (see
-        :meth:`repro.core.experience.DeviceExperience.record_failure`)."""
+        :meth:`repro.core.experience.ExperienceTracker.record_failure`)."""
         self.tracker.record_failure(device)
 
     def on_global_sync(self, t: int) -> None:

@@ -530,8 +530,25 @@ def _write_obs_outputs(args, obs, echo) -> None:
     obs.close()
 
 
+def _scenario_error(error: ValueError) -> int:
+    """Report a scenario the engine rejects as one stderr line; exit 2.
+
+    A :class:`~repro.faults.CheckpointMismatchError` also names the flag
+    that contradicts the checkpoint.
+    """
+    hint = ""
+    if isinstance(error, CheckpointMismatchError):
+        hint = f"; check {_MISMATCH_FLAGS[error.field]}"
+    print(f"{_PROG}: error: {error}{hint}", file=sys.stderr)
+    return 2
+
+
 def _run_command(args) -> int:
-    """Execute one configured run (the ``run``/``resume`` subcommands)."""
+    """Execute one configured run (the ``run``/``resume`` subcommands).
+
+    The engine validates its inputs by raising :class:`ValueError`, so
+    one raised while the scenario is built or run is a usage error.
+    """
     level = "quiet" if args.quiet else args.log_level
     verbosity = {"quiet": 0, "info": 1, "debug": 2}[level]
 
@@ -555,7 +572,10 @@ def _run_command(args) -> int:
             # The checkpoint records its run's master seed.
             args.seed = resume_from.master_seed
 
-    config = PRESETS[args.preset].with_overrides(**_scenario_overrides(args))
+    try:
+        config = PRESETS[args.preset].with_overrides(**_scenario_overrides(args))
+    except ValueError as error:
+        return _scenario_error(error)
 
     if args.obs_off and _obs_requested(args):
         echo(
@@ -589,14 +609,10 @@ def _run_command(args) -> int:
             resume_from=resume_from,
             obs=obs,
         )
-    except CheckpointMismatchError as error:
+    except ValueError as error:
         if obs is not None:
             obs.close()
-        print(
-            f"{_PROG}: error: {error}; check {_MISMATCH_FLAGS[error.field]}",
-            file=sys.stderr,
-        )
-        return 2
+        return _scenario_error(error)
     elapsed = time.perf_counter() - start
 
     reached = (

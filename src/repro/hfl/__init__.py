@@ -14,8 +14,6 @@ from repro.hfl.edge import Edge
 from repro.hfl.metrics import (
     TrainingHistory,
     evaluate,
-    evaluate_accuracy,
-    evaluate_loss,
 )
 from repro.hfl.latency import LatencyConfig, LatencySimulator
 from repro.hfl.telemetry import EdgeRoundRecord, TelemetryRecorder
@@ -33,8 +31,6 @@ __all__ = [
     "LatencySimulator",
     "EdgeRoundRecord",
     "evaluate",
-    "evaluate_accuracy",
-    "evaluate_loss",
     "HFLTrainer",
     "TrainingResult",
 ]

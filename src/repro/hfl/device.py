@@ -8,7 +8,6 @@ from typing import List
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.hotpath import hotpath_enabled
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.nn.model import Model
 from repro.utils.rng import RngLike, as_generator
@@ -66,42 +65,23 @@ class Device:
 
         grad_sq_norms: List[float] = []
         losses: List[float] = []
-        if hotpath_enabled():
-            # Aliased + batched path: the model's parameters are views
-            # into its canonical flat buffer, so one load_flat installs
-            # w^t_n and the fused sgd_lr mode applies every
-            # w^{t,τ+1} = w^{t,τ} − γ g step as a single vector op — no
-            # per-τ load_flat walk.  All I minibatches are
-            # pre-drawn by one (I, B) rng.integers call and one gather;
-            # that call consumes the stream element by element exactly
-            # like the reference loop's I calls, so every index is
-            # bit-identical.
-            model.load_flat(start_model)
-            xs, ys = self.dataset.sample_batches(
-                local_epochs, batch_size, rng=rng
+        # The model's parameters are views into its canonical flat
+        # buffer, so one load_flat installs w^t_n and the fused sgd_lr
+        # mode applies every w^{t,τ+1} = w^{t,τ} − γ g_m(w^{t,τ}, ξ^{t,τ})
+        # step as a single vector op.  All I minibatches are pre-drawn
+        # by one (I, B) rng.integers call, which consumes the stream
+        # exactly like I successive sample_batch calls.
+        model.load_flat(start_model)
+        xs, ys = self.dataset.sample_batches(local_epochs, batch_size, rng=rng)
+        for tau in range(local_epochs):
+            loss, grad = model.loss_and_grad(
+                xs[tau], ys[tau], loss_fn, sgd_lr=learning_rate
             )
-            for tau in range(local_epochs):
-                loss, grad = model.loss_and_grad(
-                    xs[tau], ys[tau], loss_fn, sgd_lr=learning_rate
-                )
-                grad_sq_norms.append(float(grad @ grad))
-                losses.append(loss)
-            final_model = model.flat_copy()
-        else:
-            model.load_flat(start_model)
-            flat = model.flat_copy()
-            for _tau in range(local_epochs):
-                x, y = self.dataset.sample_batch(batch_size, rng=rng)
-                loss, grad = model.loss_and_grad(x, y, loss_fn)
-                grad_sq_norms.append(float(grad @ grad))
-                losses.append(loss)
-                # w^{t,τ+1} = w^{t,τ} − γ g_m(w^{t,τ}, ξ^{t,τ})
-                flat -= learning_rate * grad
-                model.load_flat(flat)
-            final_model = flat
+            grad_sq_norms.append(float(grad @ grad))
+            losses.append(loss)
         return LocalUpdateResult(
             device_id=self.device_id,
-            final_model=final_model,
+            final_model=model.flat_copy(),
             grad_sq_norms=grad_sq_norms,
             mean_loss=float(np.mean(losses)),
         )

@@ -8,52 +8,19 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.hotpath import hotpath_enabled
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.nn.model import Model
-
-
-def evaluate_accuracy(model: Model, dataset: Dataset, batch_size: int = 256) -> float:
-    """Top-1 accuracy of ``model`` on ``dataset``."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    predictions = model.predict(dataset.x, batch_size=batch_size)
-    return float(np.mean(predictions == dataset.y))
-
-
-def evaluate_loss(model: Model, dataset: Dataset, batch_size: int = 256) -> float:
-    """Mean cross-entropy of ``model`` on ``dataset``."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    loss_fn = SoftmaxCrossEntropy()
-    total, count = 0.0, 0
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.x[start : start + batch_size]
-        y = dataset.y[start : start + batch_size]
-        logits = model.forward(x, training=False)
-        total += loss_fn.forward(logits, y) * len(y)
-        count += len(y)
-    return total / count
 
 
 def evaluate(
     model: Model, dataset: Dataset, batch_size: int = 256
 ) -> Tuple[float, float]:
-    """Single-pass ``(accuracy, loss)`` of ``model`` on ``dataset``.
+    """Top-1 accuracy and mean cross-entropy of ``model`` on ``dataset``.
 
-    :func:`evaluate_accuracy` and :func:`evaluate_loss` each run a full
-    forward pass over the test set; the trainer needs both at every
-    evaluation point, so this fuses them — one forward per batch, the
-    logits feeding both the argmax and the cross-entropy.  Inference
-    forwards are deterministic (dropout off), so the result is
-    bit-identical to the two separate passes; with the hot path
-    disabled this falls back to exactly those.
+    One inference forward per batch feeds both the argmax and the
+    cross-entropy; the loss is the per-batch mean losses weighted by
+    batch size, summed in batch order.
     """
-    if not hotpath_enabled():
-        return (
-            evaluate_accuracy(model, dataset, batch_size=batch_size),
-            evaluate_loss(model, dataset, batch_size=batch_size),
-        )
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     loss_fn = SoftmaxCrossEntropy()

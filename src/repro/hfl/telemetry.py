@@ -312,9 +312,7 @@ class TelemetryRecorder:
         """Per-phase totals: seconds, call count and share of the total.
 
         The shares answer the first profiling question — *where does a
-        time step go?* — without an external profiler;
-        ``benchmarks/bench_hotpath.py`` renders this table before and
-        after the hot-path optimizations.
+        time step go?* — without an external profiler.
         """
         total = sum(self.phase_seconds.values())
         return {

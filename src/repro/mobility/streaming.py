@@ -35,7 +35,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.hotpath import hotpath_enabled
 from repro.mobility.trace import MobilityTrace
 from repro.prof import profile_site
 from repro.utils.rng import SeedSequenceFactory
@@ -247,15 +246,9 @@ class StreamingTrace:
     def devices_at(self, t: int, edge: int) -> np.ndarray:
         if not 0 <= edge < self.num_edges:
             raise ValueError(f"edge must be in [0, {self.num_edges}), got {edge}")
-        if not hotpath_enabled():
-            return np.flatnonzero(self._row(self._wrap(t)) == edge)
         return self._step_index(self._wrap(t))[0][edge]
 
     def counts_at(self, t: int) -> np.ndarray:
-        if not hotpath_enabled():
-            return np.array(
-                [self.devices_at(t, n).size for n in range(self.num_edges)]
-            )
         return self._step_index(self._wrap(t))[1]
 
     def validate(self) -> None:

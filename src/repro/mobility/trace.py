@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.hotpath import hotpath_enabled
 from repro.prof import profile_site
 from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_positive
@@ -132,27 +131,18 @@ class MobilityTrace:
     def devices_at(self, t: int, edge: int) -> np.ndarray:
         """The device set ``M^t_n`` (sorted device indices).
 
-        On the optimized hot path this is a lookup into the per-step
-        membership index (the returned array is shared and frozen); the
-        reference path re-derives it with a fresh ``flatnonzero`` scan.
+        A lookup into the per-step membership index (the returned array
+        is shared and frozen).
         """
         if not 0 <= edge < self.num_edges:
             raise ValueError(f"edge must be in [0, {self.num_edges}), got {edge}")
-        if not hotpath_enabled():
-            with profile_site("mobility", "row_scan", edge=edge):
-                return np.flatnonzero(self.assignments[self._wrap(t)] == edge)
         return self._step_index(self._wrap(t))[0][edge]
 
     def counts_at(self, t: int) -> np.ndarray:
         """Member counts ``|M^t_n|`` for every edge, shape (num_edges,).
 
-        Vectorized via one ``bincount`` (cached per wrapped step); the
-        reference path sizes each ``devices_at`` result individually.
+        Vectorized via one ``bincount`` (cached per wrapped step).
         """
-        if not hotpath_enabled():
-            return np.array(
-                [self.devices_at(t, n).size for n in range(self.num_edges)]
-            )
         return self._step_index(self._wrap(t))[1]
 
     def assignment_row(self, t: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.hotpath import hotpath_enabled
 from repro.nn.functional import ConvWorkspace, col2im, conv_output_size, im2col
 from repro.nn.parameters import Parameter
 
@@ -100,11 +99,6 @@ class ReLU(Layer):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not hotpath_enabled():
-            mask = x > 0
-            if training:
-                self._mask = mask
-            return np.where(mask, x, 0.0)
         # np.maximum is a single fused ufunc pass; inference forwards
         # skip the mask entirely (it only feeds backward).
         if training:
@@ -207,9 +201,8 @@ class Conv2d(Layer):
             raise ValueError(
                 f"Conv2d expects (B, {self.in_channels}, H, W), got {x.shape}"
             )
-        workspace = self._workspace if hotpath_enabled() else None
         cols, out_h, out_w = im2col(
-            x, self.kernel_size, self.stride, self.padding, workspace=workspace
+            x, self.kernel_size, self.stride, self.padding, workspace=self._workspace
         )
         w_mat = self.weight.value.reshape(self.out_channels, -1)
         # (B, out_c, out_h*out_w) = (out_c, k) @ (B, k, out_h*out_w)
@@ -236,14 +229,13 @@ class Conv2d(Layer):
             return None
 
         grad_cols = np.einsum("ok,bop->bkp", w_mat, grad_mat)
-        workspace = self._workspace if hotpath_enabled() else None
         return col2im(
             grad_cols,
             x_shape,
             self.kernel_size,
             self.stride,
             self.padding,
-            workspace=workspace,
+            workspace=self._workspace,
         )
 
 

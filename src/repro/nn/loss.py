@@ -6,8 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.hotpath import hotpath_enabled
-from repro.nn.functional import one_hot, softmax
+from repro.nn.functional import softmax
 
 
 class SoftmaxCrossEntropy:
@@ -40,13 +39,11 @@ class SoftmaxCrossEntropy:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         probs, labels = self._cache
-        batch, num_classes = probs.shape
-        if not hotpath_enabled():
-            return (probs - one_hot(labels, num_classes)) / batch
+        batch = probs.shape[0]
         # Index-subtract: only the B label entries differ from the
         # softmax, so scattering -1 into them beats materializing (and
         # subtracting) a dense (B, C) one-hot matrix.  Subtracting 0.0
-        # is exact, so this is bit-identical to the reference formula.
+        # is exact, so this is bit-identical to ``(probs - onehot) / B``.
         grad = probs.copy()
         grad[np.arange(batch), labels] -= 1.0
         grad /= batch

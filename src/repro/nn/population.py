@@ -31,15 +31,13 @@ vector), scalar reductions over non-contiguous axes (``sum(axis=1)`` of
 reference, and the per-device gradient-norm dot runs on the contiguous
 ``(P,)`` row exactly like the reference ``grad @ grad``.
 
-The per-device loop (``Device.local_update``) remains the runnable
-reference twin: population batching only engages on the optimized
-engine (``repro.hotpath``) and can be vetoed independently via
-:func:`set_population_batching` for three-way parity tests.
+The per-device loop (``Device.local_update``) runs every round this
+path cannot stack: a single device, mixed hyper-parameters or minibatch
+sizes, or a model :func:`supports_population_batch` rejects.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -48,31 +46,6 @@ from numpy.lib.stride_tricks import as_strided
 from repro.nn.functional import ConvWorkspace, col2im, im2col
 from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU
 from repro.nn.model import Model, Sequential, first_trainable
-
-_population_batching_enabled = True
-
-
-def population_batching_enabled() -> bool:
-    """Whether the stacked population path may be used (process-global)."""
-    return _population_batching_enabled
-
-
-def set_population_batching(enabled: bool) -> None:
-    """Enable/disable population batching (the per-device loop remains)."""
-    global _population_batching_enabled
-    _population_batching_enabled = bool(enabled)
-
-
-@contextmanager
-def population_batching_disabled():
-    """Run a block on the per-device loop even when hotpath is enabled."""
-    previous = _population_batching_enabled
-    set_population_batching(False)
-    try:
-        yield
-    finally:
-        set_population_batching(previous)
-
 
 #: Layer types with a stacked twin below.
 _STACKABLE = (Dense, Conv2d, ReLU, MaxPool2d, Flatten)

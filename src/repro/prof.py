@@ -5,8 +5,8 @@ instrumented hot paths (``repro.mobility``, ``repro.hfl.edge``, the
 executors) and the continuous profiler in :mod:`repro.obs.profiler`.
 The low layers cannot import ``repro.obs`` directly — the obs package
 sits *above* ``repro.hfl`` (its telemetry bridge imports the trainer's
-telemetry types) — so, like :mod:`repro.hotpath`, the switch lives in a
-tiny stdlib-only module near the bottom of the import graph.
+telemetry types) — so the switch lives in a tiny stdlib-only module
+near the bottom of the import graph.
 
 Instrumented call sites do::
 

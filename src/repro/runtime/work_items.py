@@ -25,12 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.hfl.device import Device, LocalUpdateResult
-from repro.hotpath import hotpath_enabled
-from repro.nn.population import (
-    PopulationModel,
-    population_batching_enabled,
-    supports_population_batch,
-)
+from repro.nn.population import PopulationModel, supports_population_batch
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import check_positive
 
@@ -161,8 +156,7 @@ class WorkerContext:
     def _batchable(self, items: Tuple[LocalUpdateItem, ...]) -> bool:
         """Whether ``items`` can run as one stacked population pass.
 
-        Requires the optimized engine, a model
-        :func:`supports_population_batch` accepts, and a
+        Requires a model :func:`supports_population_batch` accepts and a
         homogeneous batch: identical hyper-parameters, one effective
         minibatch size (``min(batch_size, |D_m|)``), and one feature
         shape across all devices.  A heterogeneous round falls back to
@@ -170,8 +164,6 @@ class WorkerContext:
         several rounds, one round at a time (:meth:`run_items`).
         """
         if len(items) < 2:
-            return False
-        if not (hotpath_enabled() and population_batching_enabled()):
             return False
         if self._pop_supported is None:
             self._pop_supported = supports_population_batch(self.model)

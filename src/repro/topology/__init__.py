@@ -14,9 +14,9 @@ factors the sync step into two config-selectable abstractions
   averaging over flat parameter buffers).
 
 The default pair (``hierarchical`` + ``ipw``) is bit-identical to the
-pre-topology trainer on every executor backend; the runnable reference
-twin in :mod:`repro.topology.reference` keeps that claim checkable
-forever (the :mod:`repro.hotpath` discipline).  All alternative modes
+pre-topology trainer on every executor backend; the golden fingerprints
+in ``tests/golden/fingerprints.json``, recorded while that trainer was
+still runnable, pin it.  All alternative modes
 share the samplers, fault model, checkpointing and obs stack unchanged.
 """
 

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.experience import DeviceExperience, ExperienceTracker
+from repro.core.experience import ExperienceTracker
 
+from tests.core.experience_oracle import DeviceExperience
 from tests.state_equal import assert_state_equal
 
 
 def scalar_rows(state):
-    """Per-device dicts in the scalar twin's schema, read from the
+    """Per-device dicts in the scalar oracle's schema, read from the
     tracker's columns (``None`` where a presence mask is unset)."""
     ends = np.cumsum(state["buffer_len"])
     return [
@@ -173,8 +174,8 @@ class TestExperienceTracker:
 
 class TestArrayBackedTracker:
     """The vectorized tracker must agree *exactly* with the scalar
-    :class:`DeviceExperience` reference twin — same values, same state
-    schema — under any interleaving of records, failures and syncs."""
+    :class:`DeviceExperience` oracle — same values, same state schema —
+    under any interleaving of records, failures and syncs."""
 
     def run_scenario(self, window, seed=3, num_devices=5, num_syncs=4, idle=()):
         rng = np.random.default_rng(seed)
@@ -241,7 +242,7 @@ class TestArrayBackedTracker:
     def test_state_round_trip_is_exact(self):
         tracker, _scalars, t = self.run_scenario("recent")
         state = tracker.state_dict()
-        restored = ExperienceTracker(len(tracker.devices), window="recent")
+        restored = ExperienceTracker(tracker.num_devices, window="recent")
         restored.load_state_dict(state)
         assert_state_equal(restored.state_dict(), state)
         # Continued operation agrees too (the restored buffers feed the
@@ -253,22 +254,6 @@ class TestArrayBackedTracker:
         np.testing.assert_array_equal(
             tracker.estimates(ids), restored.estimates(ids)
         )
-
-    def test_devices_mapping_surface(self):
-        tracker = ExperienceTracker(3)
-        tracker.record(1, [4.0])
-        assert len(tracker.devices) == 3
-        assert list(tracker.devices) == [0, 1, 2]
-        assert 2 in tracker.devices and 3 not in tracker.devices
-        assert max(tracker.devices) + 1 == tracker.num_devices
-        view = tracker.devices[1]
-        assert view.participation_count == 1
-        assert view.buffer == [4.0]
-        assert view.window_participated
-        assert view.estimate == math.inf
-        assert math.isfinite(view.exploration_bonus(5))
-        with pytest.raises(KeyError):
-            tracker.devices[7]
 
     def test_participation_counts_sized_by_population(self):
         """Array shape comes from the explicit population size, not from

@@ -141,9 +141,9 @@ def test_checkpoint_every_defaults_the_path(monkeypatch):
     assert config.checkpoint_path == "checkpoint.json"
 
 
-def test_bad_flag_value_names_the_field(monkeypatch):
-    with pytest.raises(ValueError, match="num_workers must be > 0"):
-        scenario_for(monkeypatch, "--num-workers", "0")
+def test_bad_flag_value_names_the_field(capsys):
+    assert runner.main(["run", "--num-workers", "0", "--quiet"]) == 2
+    assert "num_workers must be > 0" in capsys.readouterr().err
 
 
 #: A short run that writes a checkpoint at steps 4 and 8.
@@ -199,3 +199,22 @@ def test_resume_mismatch_is_one_line_naming_the_flag(
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert err.rstrip().endswith(f"check {flag}")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--topology", "clustered", "--aggregation", "ipw"],
+    ["--devices", "3", "--edges", "5"],
+    ["--participation", "2"],
+    ["--churn", "bogus"],
+])
+@pytest.mark.parametrize("command", ["run", "resume"])
+def test_scenario_error_is_one_line(seed3_checkpoint, capsys, command, flags):
+    """A scenario the engine rejects ends in one stderr line and exit 2,
+    not a traceback, on ``run`` and on ``resume``."""
+    head = ["run"] if command == "run" else ["resume", str(seed3_checkpoint)]
+    capsys.readouterr()
+    code = runner.main([*head, *RESUME_RUN, *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"{runner._PROG}: error: ")

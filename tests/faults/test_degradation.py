@@ -188,10 +188,10 @@ class TestGracefulDegradation:
             ),
         )
         trainer.run(num_steps=12)
-        exp = sampler.tracker.devices[0]
-        assert exp.participation_count > 0
-        assert exp.buffer == [] and exp.lifetime_best == 0.0
-        assert np.isfinite(exp.exploration_bonus(12))
+        state = sampler.tracker.state_dict()
+        assert state["participation_count"][0] > 0
+        assert state["buffer_len"][0] == 0 and state["lifetime_best"][0] == 0.0
+        assert np.isfinite(sampler.tracker.audit_components([0])["bonus"][0])
 
 
 class TestMobilityDeparture:

@@ -1,11 +1,11 @@
 """Bit-identity of the aliased + batched local-update path.
 
-``Device.local_update``'s hot path pre-draws all I minibatches and runs
-the fused ``flat -= lr * grad`` update through the model's canonical
-flat buffer.  The reference twin (``hotpath_disabled()``) keeps the
-original per-τ sample/update/set-walk loop, and the two must agree bit
-for bit — at device level, at trainer level on every executor backend,
-and across a kill/resume boundary.
+``Device.local_update`` pre-draws all I minibatches and runs the fused
+``flat -= lr * grad`` update through the model's canonical flat buffer.
+It must agree bit for bit with Eq. (4) taken one step at a time
+(:func:`unfused_local_update`: draw a minibatch, take the gradient,
+subtract, reload) — at device level, at trainer level on every executor
+backend, and across a kill/resume boundary.
 """
 
 import numpy as np
@@ -13,12 +13,34 @@ import pytest
 
 from repro.data.synthetic import make_blobs_dataset
 from repro.experiments.runner import run_single
-from repro.hfl.device import Device
-from repro.hotpath import hotpath_disabled
+from repro.hfl.device import Device, LocalUpdateResult
 from repro.nn.architectures import build_mlp
-from repro.runtime import EXECUTOR_KINDS
+from repro.nn.loss import SoftmaxCrossEntropy
+from repro.runtime import EXECUTOR_KINDS, work_items
+from repro.utils.rng import as_generator
 
 from tests.hfl.test_hotpath import histories_identical, tiny_config
+
+
+def unfused_local_update(
+    device, start_model, model, local_epochs, learning_rate, batch_size, rng=None
+):
+    """Eq. (4) one SGD step at a time, with a fresh minibatch draw each."""
+    rng = as_generator(rng)
+    loss_fn = SoftmaxCrossEntropy()
+    model.load_flat(start_model)
+    flat = model.flat_copy()
+    grad_sq_norms, losses = [], []
+    for _ in range(local_epochs):
+        x, y = device.dataset.sample_batch(batch_size, rng=rng)
+        loss, grad = model.loss_and_grad(x, y, loss_fn)
+        grad_sq_norms.append(float(grad @ grad))
+        losses.append(loss)
+        flat -= learning_rate * grad
+        model.load_flat(flat)
+    return LocalUpdateResult(
+        device.device_id, flat, grad_sq_norms, float(np.mean(losses))
+    )
 
 
 def make_device(rng):
@@ -36,11 +58,10 @@ class TestDeviceLevelParity:
             start, model, local_epochs=4, learning_rate=0.1, batch_size=8,
             rng=123,
         )
-        with hotpath_disabled():
-            reference = device.local_update(
-                start, model, local_epochs=4, learning_rate=0.1, batch_size=8,
-                rng=123,
-            )
+        reference = unfused_local_update(
+            device, start, model, local_epochs=4, learning_rate=0.1,
+            batch_size=8, rng=123,
+        )
         np.testing.assert_array_equal(
             optimized.final_model, reference.final_model
         )
@@ -75,22 +96,25 @@ class TestDeviceLevelParity:
         after_optimized = gen_a.integers(0, 1000, size=4)
 
         gen_b = np.random.default_rng(77)
-        with hotpath_disabled():
-            device.local_update(start, model, 3, 0.1, 8, rng=gen_b)
+        unfused_local_update(device, start, model, 3, 0.1, 8, rng=gen_b)
         after_reference = gen_b.integers(0, 1000, size=4)
         np.testing.assert_array_equal(after_optimized, after_reference)
 
 
 class TestTrainerLevelParity:
-    """Full runs down the batched path equal the reference on every
-    executor backend."""
+    """Full runs down the stacked and fused path equal runs whose every
+    local update is :func:`unfused_local_update`, on every executor
+    backend (process workers fork after the patch, so they inherit it)."""
 
     @pytest.mark.parametrize("executor", EXECUTOR_KINDS)
-    def test_run_bit_identical_to_reference(self, executor):
+    def test_run_bit_identical_to_reference(self, executor, monkeypatch):
         config = tiny_config(executor=executor)
-        with hotpath_disabled():
-            reference = run_single(config, "mach")
         optimized = run_single(config, "mach")
+        monkeypatch.setattr(
+            work_items, "supports_population_batch", lambda model: False
+        )
+        monkeypatch.setattr(Device, "local_update", unfused_local_update)
+        reference = run_single(config, "mach")
         assert histories_identical(reference, optimized)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.edge_sampling import EdgeSamplingConfig, edge_strategy
-from repro.core.experience import DeviceExperience
+from repro.core.experience import ExperienceTracker
 from repro.core.mach import MACHSampler
 from repro.data.synthetic import make_federated_task
 from repro.hfl.config import HFLConfig
@@ -88,9 +88,10 @@ class TestNumericalExtremes:
     def test_experience_with_infinite_norm(self):
         """A diverged device (inf gradient norm) must not poison the
         edge strategy: inf estimates map to the exploration ceiling."""
-        exp = DeviceExperience(0)
-        exp.record([math.inf])
-        estimate = exp.sync(t=5)
+        tracker = ExperienceTracker(1)
+        tracker.record(0, [math.inf])
+        tracker.sync_all(5)
+        estimate = tracker.estimates([0])[0]
         assert estimate == math.inf
         q = edge_strategy(
             np.array([estimate, 4.0, 1.0]), 1.5, EdgeSamplingConfig()

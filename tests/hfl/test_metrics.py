@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_blobs_dataset
-from repro.hfl.metrics import TrainingHistory, evaluate_accuracy, evaluate_loss
+from repro.hfl.metrics import TrainingHistory, evaluate
 from repro.nn.architectures import build_mlp
 
 
@@ -12,28 +12,27 @@ class TestEvaluate:
     def test_accuracy_in_unit_interval(self, rng):
         model = build_mlp(16, hidden=(8,), rng=rng)
         ds = make_blobs_dataset(50, rng=rng)
-        acc = evaluate_accuracy(model, ds)
+        acc, _loss = evaluate(model, ds)
         assert 0.0 <= acc <= 1.0
 
     def test_loss_positive(self, rng):
         model = build_mlp(16, hidden=(8,), rng=rng)
         ds = make_blobs_dataset(50, rng=rng)
-        assert evaluate_loss(model, ds) > 0
+        assert evaluate(model, ds)[1] > 0
 
     def test_loss_batching_consistent(self, rng):
         model = build_mlp(16, hidden=(8,), rng=rng)
         ds = make_blobs_dataset(70, rng=rng)
-        a = evaluate_loss(model, ds, batch_size=7)
-        b = evaluate_loss(model, ds, batch_size=512)
+        _, a = evaluate(model, ds, batch_size=7)
+        acc_b, b = evaluate(model, ds, batch_size=512)
         assert a == pytest.approx(b)
+        assert evaluate(model, ds, batch_size=7)[0] == acc_b
 
     def test_empty_dataset_raises(self, rng):
         model = build_mlp(16, hidden=(8,), rng=rng)
         empty = make_blobs_dataset(0, labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
-            evaluate_accuracy(model, empty)
-        with pytest.raises(ValueError):
-            evaluate_loss(model, empty)
+            evaluate(model, empty)
 
 
 class TestTrainingHistory:

@@ -4,7 +4,6 @@ chunk-cache reproducibility, and the chunk providers."""
 import numpy as np
 import pytest
 
-from repro.hotpath import hotpath_disabled
 from repro.mobility.markov import MarkovMobilityModel
 from repro.mobility.streaming import (
     DenseChunkProvider,
@@ -54,9 +53,18 @@ class TestEquivalence:
         assert_query_surface_equal(stream, dense, [0, 17, 3, 49, 8, 31])
 
     def test_query_surface_matches_on_reference_path(self, pair):
+        """The streaming membership index equals a fresh scan of the
+        dense row."""
         stream, dense = pair
-        with hotpath_disabled():
-            assert_query_surface_equal(stream, dense, [0, 12, 44])
+        for t in (0, 12, 44):
+            row = dense.assignment_row(t)
+            np.testing.assert_array_equal(
+                stream.counts_at(t), np.bincount(row, minlength=dense.num_edges)
+            )
+            for edge in range(dense.num_edges):
+                np.testing.assert_array_equal(
+                    stream.devices_at(t, edge), np.flatnonzero(row == edge)
+                )
 
     def test_cyclic_wrap_matches_dense(self, pair):
         stream, dense = pair

@@ -180,18 +180,18 @@ class TestMembershipIndex:
                     )
 
     def test_hotpath_and_reference_paths_agree(self):
-        from repro.hotpath import hotpath_disabled
-
+        """The cached membership index equals a fresh scan of the row,
+        past the end of the trace too."""
         trace = simple_trace()
         for t in range(trace.num_steps + 2):
-            with hotpath_disabled():
-                reference_counts = trace.counts_at(t)
-                reference_members = [
-                    trace.devices_at(t, n) for n in range(trace.num_edges)
-                ]
-            np.testing.assert_array_equal(trace.counts_at(t), reference_counts)
-            for n, members in enumerate(reference_members):
-                np.testing.assert_array_equal(trace.devices_at(t, n), members)
+            row = trace.assignment_row(t)
+            np.testing.assert_array_equal(
+                trace.counts_at(t), np.bincount(row, minlength=trace.num_edges)
+            )
+            for n in range(trace.num_edges):
+                np.testing.assert_array_equal(
+                    trace.devices_at(t, n), np.flatnonzero(row == n)
+                )
 
     def test_cached_arrays_are_frozen(self):
         trace = simple_trace()

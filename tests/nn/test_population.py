@@ -1,6 +1,6 @@
 """Population-batched local updates: bit-identity with the per-device
-reference twin (MLPs and the paper CNNs), support predicate, buffer
-reuse, the layer-0 gradient rule and the engine switch."""
+loop (MLPs and the paper CNNs), support predicate, buffer reuse and
+the layer-0 gradient rule."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,7 @@ from repro.nn.architectures import build_model
 from repro.nn.layers import Conv2d, Dense, Dropout, Flatten, ReLU
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
-from repro.nn.population import (
-    PopulationModel,
-    population_batching_disabled,
-    population_batching_enabled,
-    set_population_batching,
-    supports_population_batch,
-)
+from repro.nn.population import PopulationModel, supports_population_batch
 
 
 def make_mlp(rng, in_features=16, hidden=24, classes=10):
@@ -206,22 +200,6 @@ class TestLayerZeroGradient:
         loss_fn = SoftmaxCrossEntropy()
         loss_fn.forward(model.forward(x, training=True), np.arange(4))
         assert model.backward(loss_fn.backward(), input_grad=False) is None
-
-
-class TestSwitch:
-    def test_disabled_context_restores(self):
-        assert population_batching_enabled()
-        with population_batching_disabled():
-            assert not population_batching_enabled()
-        assert population_batching_enabled()
-
-    def test_set_round_trip(self):
-        set_population_batching(False)
-        try:
-            assert not population_batching_enabled()
-        finally:
-            set_population_batching(True)
-        assert population_batching_enabled()
 
 
 class TestDatasetStackedSampling:
