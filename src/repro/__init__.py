@@ -26,7 +26,6 @@ paper-versus-measured record.
 """
 
 from repro.core import (
-    BudgetedSampler,
     EdgeSamplingConfig,
     MACHConfig,
     MACHSampler,
@@ -44,8 +43,6 @@ from repro.data import (
 from repro.hfl import HFLConfig, HFLTrainer, TelemetryRecorder, TrainingResult
 from repro.mobility import (
     MarkovMobilityModel,
-    OrderKMarkovPredictor,
-    RandomWaypointModel,
     MobilityTrace,
     TelecomTraceGenerator,
     static_trace,
@@ -103,9 +100,6 @@ __all__ = [
     "MACHOracleSampler",
     "OortSampler",
     "PowerOfChoiceSampler",
-    "BudgetedSampler",
     "TelemetryRecorder",
-    "OrderKMarkovPredictor",
-    "RandomWaypointModel",
     "__version__",
 ]

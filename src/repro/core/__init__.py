@@ -23,8 +23,6 @@ from repro.core.edge_sampling import (
     smooth,
     virtual_probabilities,
 )
-from repro.core.budget import BudgetedSampler, TimeAveragedBudget
-from repro.core.problem import Problem1Solution, solve_problem1, verify_closed_form
 from repro.core.experience import ExperienceTracker
 from repro.core.mach import MACHConfig, MACHSampler
 
@@ -38,11 +36,6 @@ __all__ = [
     "virtual_probabilities",
     "smooth",
     "edge_strategy",
-    "BudgetedSampler",
-    "Problem1Solution",
-    "solve_problem1",
-    "verify_closed_form",
-    "TimeAveragedBudget",
     "ExperienceTracker",
     "MACHConfig",
     "MACHSampler",

@@ -9,12 +9,6 @@ long-tailed Non-IID device split.
 """
 
 from repro.data.dataset import Dataset, train_test_split
-from repro.data.loaders import (
-    concatenate_datasets,
-    load_cifar10_binary_batch,
-    load_cifar10_pickle_batch,
-    load_mnist_idx,
-)
 from repro.data.partition import (
     dirichlet_partition,
     equal_size_dirichlet_partition,
@@ -32,10 +26,6 @@ from repro.data.synthetic import (
 
 __all__ = [
     "Dataset",
-    "load_mnist_idx",
-    "load_cifar10_binary_batch",
-    "load_cifar10_pickle_batch",
-    "concatenate_datasets",
     "train_test_split",
     "dirichlet_partition",
     "equal_size_dirichlet_partition",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import Field, dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Tuple, get_args, get_type_hints
+from typing import Any, Callable, Dict, Optional, Tuple, get_args, get_type_hints
 
 from repro.core.edge_sampling import EdgeSamplingConfig
 from repro.core.mach import MACHConfig, MACHSampler
@@ -20,25 +20,6 @@ from repro.sampling import (
 )
 from repro.topology import AGGREGATION_STRATEGIES, TOPOLOGY_KINDS
 from repro.utils.validation import check_fraction, check_membership, check_positive
-
-#: The five strategies compared throughout §IV.
-SAMPLER_NAMES: Tuple[str, ...] = (
-    "mach",
-    "mach_p",
-    "uniform",
-    "class_balance",
-    "statistical",
-)
-
-#: Abbreviations used in the paper's Table I.
-SAMPLER_ABBREVIATIONS: Dict[str, str] = {
-    "mach": "MACH",
-    "mach_p": "MACH-P",
-    "uniform": "US",
-    "class_balance": "CS",
-    "statistical": "SS",
-}
-
 
 #: Mobility models a scenario can generate its trace from.
 TRACE_KINDS: Tuple[str, ...] = ("telecom", "markov", "static")
@@ -336,32 +317,49 @@ def resolve_scenario(
     return scenario.with_overrides(**overrides) if overrides else scenario
 
 
-def make_sampler(name: str, config: ScenarioConfig) -> Sampler:
-    """Instantiate the named strategy with the scenario's MACH coefficients."""
-    edge_cfg = EdgeSamplingConfig(
+def _edge_sampling(config: ScenarioConfig) -> EdgeSamplingConfig:
+    return EdgeSamplingConfig(
         alpha=config.mach_alpha,
         beta=config.mach_beta,
         warmup_steps=config.mach_warmup,
     )
-    if name == "mach":
-        return MACHSampler(
-            MACHConfig(
-                edge_sampling=edge_cfg,
-                sync_interval=config.sync_interval,
-                ucb_window=config.mach_ucb_window,
-                selection=config.mach_selection,
-                candidate_factor=config.mach_candidate_factor,
-            )
-        )
-    if name == "mach_p":
-        return MACHOracleSampler(edge_cfg)
-    if name == "uniform":
-        return UniformSampler()
-    if name == "class_balance":
-        return ClassBalanceSampler()
-    if name == "statistical":
-        return StatisticalSampler()
-    raise ValueError(f"unknown sampler {name!r}; choose from {SAMPLER_NAMES}")
+
+
+def _mach(config: ScenarioConfig) -> Sampler:
+    return MACHSampler(MACHConfig(
+        edge_sampling=_edge_sampling(config),
+        sync_interval=config.sync_interval,
+        ucb_window=config.mach_ucb_window,
+        selection=config.mach_selection,
+        candidate_factor=config.mach_candidate_factor,
+    ))
+
+
+#: name -> (Table I abbreviation, factory): the five strategies compared
+#: throughout §IV, the first the default.  The names, abbreviations, CLI
+#: ``--sampler`` choices and the service's check all derive from it.
+SAMPLERS: Dict[str, Tuple[str, Callable[[ScenarioConfig], Sampler]]] = {
+    "mach": ("MACH", _mach),
+    "mach_p": ("MACH-P", lambda config: MACHOracleSampler(_edge_sampling(config))),
+    "uniform": ("US", lambda config: UniformSampler()),
+    "class_balance": ("CS", lambda config: ClassBalanceSampler()),
+    "statistical": ("SS", lambda config: StatisticalSampler()),
+}
+SAMPLER_NAMES: Tuple[str, ...] = tuple(SAMPLERS)
+SAMPLER_ABBREVIATIONS: Dict[str, str] = {n: e[0] for n, e in SAMPLERS.items()}
+DEFAULT_SAMPLER: str = SAMPLER_NAMES[0]
+
+
+def check_sampler(name: object) -> None:
+    """Raise the one unknown-sampler ``ValueError`` unless ``name`` is registered."""
+    if name not in SAMPLER_NAMES:  # a tuple: JSON lists and dicts are unhashable
+        raise ValueError(f"unknown sampler {name!r}; choose from {SAMPLER_NAMES}")
+
+
+def make_sampler(name: str, config: ScenarioConfig) -> Sampler:
+    """Instantiate the named strategy with the scenario's MACH coefficients."""
+    check_sampler(name)
+    return SAMPLERS[name][1](config)
 
 
 def _paper_presets() -> Dict[str, ScenarioConfig]:

@@ -14,7 +14,6 @@ the paper cites — is provided in :mod:`repro.mobility.markov`.
 
 from repro.mobility.geo import BaseStation, EdgeMap, cluster_stations, make_station_grid
 from repro.mobility.markov import MarkovMobilityModel
-from repro.mobility.predictor import OrderKMarkovPredictor
 from repro.mobility.streaming import (
     DenseChunkProvider,
     MarkovChunkProvider,
@@ -24,7 +23,6 @@ from repro.mobility.streaming import (
 )
 from repro.mobility.telecom import AccessRecord, TelecomTraceGenerator
 from repro.mobility.trace import MobilityTrace, static_trace
-from repro.mobility.waypoint import RandomWaypointModel
 
 __all__ = [
     "DenseChunkProvider",
@@ -37,8 +35,6 @@ __all__ = [
     "cluster_stations",
     "make_station_grid",
     "MarkovMobilityModel",
-    "OrderKMarkovPredictor",
-    "RandomWaypointModel",
     "AccessRecord",
     "TelecomTraceGenerator",
     "MobilityTrace",

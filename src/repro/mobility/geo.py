@@ -55,10 +55,6 @@ class EdgeMap:
         d2 = np.sum((self._positions - np.array([x, y])) ** 2, axis=1)
         return int(np.argmin(d2))
 
-    def edge_of_position(self, x: float, y: float) -> int:
-        """Main-edge index serving position (x, y) via the nearest station."""
-        return int(self.station_edge[self.nearest_station(x, y)])
-
     def edge_of_station(self, station_id: int) -> int:
         """Main-edge index of a station."""
         if not 0 <= station_id < len(self.stations):

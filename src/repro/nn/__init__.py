@@ -31,7 +31,6 @@ from repro.nn.layers import (
 )
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.nn.model import Model, Sequential
-from repro.nn.optim import SGD, Adam, ConstantLR, ExponentialDecayLR, LRSchedule
 from repro.nn.architectures import (
     build_cifar_cnn,
     build_logistic_regression,
@@ -52,11 +51,6 @@ __all__ = [
     "SoftmaxCrossEntropy",
     "Model",
     "Sequential",
-    "SGD",
-    "Adam",
-    "LRSchedule",
-    "ConstantLR",
-    "ExponentialDecayLR",
     "Parameter",
     "ConvWorkspace",
     "one_hot",

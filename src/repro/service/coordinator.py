@@ -37,7 +37,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.experiments.config import SAMPLER_NAMES, ScenarioConfig, make_sampler
+from repro.experiments.config import (
+    DEFAULT_SAMPLER,
+    ScenarioConfig,
+    check_sampler,
+    make_sampler,
+)
 from repro.experiments.runner import build_scenario, hfl_config_for
 from repro.faults import TrainerCheckpoint
 from repro.hfl.trainer import HFLTrainer, TrainingResult
@@ -58,6 +63,14 @@ DEFAULT_CHECKPOINT_EVERY = 5
 #: a submission beyond it raises :class:`QueueFullError` (HTTP 429).
 MAX_QUEUED_RUNS = 64
 
+#: Largest population, horizon (steps) and data volume (training plus
+#: test samples) :meth:`Coordinator.submit` accepts, each far above every
+#: preset and the 100k-device flagship; past one it raises a
+#: ``ValueError`` naming the field (HTTP 400), so no run is built.
+MAX_RUN_DEVICES = 1_000_000
+MAX_RUN_STEPS = 100_000
+MAX_RUN_SAMPLES = 10_000_000
+
 
 class UnknownRunError(KeyError):
     """No run with the requested id exists in this coordinator."""
@@ -65,6 +78,18 @@ class UnknownRunError(KeyError):
 
 class QueueFullError(RuntimeError):
     """:data:`MAX_QUEUED_RUNS` runs are already waiting to execute."""
+
+
+def _check_run_size(config: ScenarioConfig) -> None:
+    """Refuse a scenario past one of the ``MAX_RUN_*`` bounds."""
+    samples = config.num_devices * config.samples_per_device + config.test_samples
+    for name, value, limit in (
+        ("num_devices", config.num_devices, MAX_RUN_DEVICES),
+        ("num_steps", config.num_steps, MAX_RUN_STEPS),
+        ("num_devices * samples_per_device + test_samples", samples, MAX_RUN_SAMPLES),
+    ):
+        if value > limit:
+            raise ValueError(f"{name}={value} exceeds the service limit of {limit}")
 
 
 def _write_json_atomic(path: Path, payload: dict) -> None:
@@ -172,7 +197,7 @@ class Coordinator:
     def submit(
         self,
         config: ScenarioConfig,
-        sampler: str = "mach",
+        sampler: str = DEFAULT_SAMPLER,
         seed: Optional[int] = None,
         stop_at_target: bool = False,
         preset: Optional[str] = None,
@@ -188,12 +213,11 @@ class Coordinator:
         :data:`MAX_QUEUED_RUNS` runs already queued, raises
         :class:`QueueFullError` and registers nothing; runs that
         :meth:`recover` resubmits are exempt, as they were accepted
-        before the crash.
+        before the crash.  A scenario past a ``MAX_RUN_*`` bound raises
+        ``ValueError``.
         """
-        if sampler not in SAMPLER_NAMES:
-            raise ValueError(
-                f"unknown sampler {sampler!r}; choose from {SAMPLER_NAMES}"
-            )
+        check_sampler(sampler)
+        _check_run_size(config)
         if seed is not None and (
             isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
         ):

@@ -1,4 +1,4 @@
-"""Tests for the numerical Problem-1 solver."""
+"""Tests for the numerical Problem-1 solver, the test oracle for the closed form."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from repro.core.convergence import (
     paper_optimal_probabilities,
     sampling_objective,
 )
-from repro.core.problem import Problem1Solution, solve_problem1, verify_closed_form
+from tests.core.problem_oracle import solve_problem1, verify_closed_form
 
 
 class TestSolveProblem1:

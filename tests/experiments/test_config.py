@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mach import MACHSampler
+from repro.experiments import runner
 from repro.experiments.config import (
     FIELD_TYPES,
     PRESETS,
     SAMPLER_ABBREVIATIONS,
     SAMPLER_NAMES,
+    SAMPLERS,
     ScenarioConfig,
     make_sampler,
 )
@@ -186,11 +188,22 @@ class TestMakeSampler:
             "statistical": StatisticalSampler,
         }
         assert set(SAMPLER_NAMES) == set(expected)
-        for name, cls in expected.items():
-            assert isinstance(make_sampler(name, config), cls)
+        for name, (_abbreviation, factory) in SAMPLERS.items():
+            assert type(factory(config)) is expected[name]
+            assert type(make_sampler(name, config)) is expected[name]
 
     def test_abbreviations_cover_all(self):
         assert set(SAMPLER_ABBREVIATIONS) == set(SAMPLER_NAMES)
+        for name, (abbreviation, _factory) in SAMPLERS.items():
+            assert abbreviation
+            assert SAMPLER_ABBREVIATIONS[name] == abbreviation
+
+    def test_run_cli_choices_are_the_registry(self):
+        (action,) = [
+            action for action in runner._run_parser()._actions
+            if "--sampler" in action.option_strings
+        ]
+        assert tuple(action.choices) == SAMPLER_NAMES
 
     def test_mach_inherits_scenario_coefficients(self):
         config = ScenarioConfig(
@@ -202,8 +215,11 @@ class TestMakeSampler:
         assert sampler.config.ucb_window == "lifetime"
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown sampler"):
+        with pytest.raises(ValueError) as excinfo:
             make_sampler("oracle9000", ScenarioConfig())
+        assert str(excinfo.value) == (
+            f"unknown sampler 'oracle9000'; choose from {SAMPLER_NAMES}"
+        )
 
 
 #: Any JSON-like scalar or container a request body could carry.

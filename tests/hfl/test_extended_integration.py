@@ -1,28 +1,23 @@
-"""Integration tests: extension samplers and substrates inside the trainer."""
+"""Integration tests: extension samplers inside the trainer."""
 
 import numpy as np
 import pytest
 
-from repro.core.budget import BudgetedSampler
-from repro.core.mach import MACHSampler
 from repro.data.synthetic import make_federated_task
 from repro.hfl.config import HFLConfig
 from repro.hfl.trainer import HFLTrainer
-from repro.mobility.waypoint import RandomWaypointModel
+from repro.mobility.markov import MarkovMobilityModel
 from repro.nn.architectures import build_mlp
 from repro.sampling import OortSampler, PowerOfChoiceSampler, UniformSampler
 
 
-def build_trainer(sampler, trace=None, steps=30, seed=0):
+def build_trainer(sampler, steps=30, seed=0):
     devices, test = make_federated_task(
         "blobs", num_devices=10, samples_per_device=25, test_samples=80, rng=seed
     )
-    if trace is None:
-        from repro.mobility.markov import MarkovMobilityModel
-
-        trace = MarkovMobilityModel.stay_or_jump(3, 0.8, rng=seed).sample_trace(
-            steps, 10, rng=seed + 1
-        )
+    trace = MarkovMobilityModel.stay_or_jump(3, 0.8, rng=seed).sample_trace(
+        steps, 10, rng=seed + 1
+    )
     return HFLTrainer(
         model_factory=lambda rng: build_mlp(16, hidden=(8,), rng=rng),
         device_datasets=devices,
@@ -42,8 +37,6 @@ class TestExtensionSamplersInTrainer:
         [
             lambda: OortSampler(rng=0),
             lambda: PowerOfChoiceSampler(rng=0),
-            lambda: BudgetedSampler(UniformSampler()),
-            lambda: BudgetedSampler(MACHSampler()),
         ],
     )
     def test_full_run(self, sampler_factory):
@@ -52,17 +45,6 @@ class TestExtensionSamplersInTrainer:
         assert result.steps_run == 30
         assert result.history.final_accuracy() > result.history.accuracy[0] - 0.1
         assert np.all(result.participation_counts >= 0)
-
-    def test_budgeted_long_run_average_capacity(self):
-        sampler = BudgetedSampler(UniformSampler(), control_strength=2.0)
-        trainer = build_trainer(sampler, steps=100)
-        trainer.run(100)
-        # K_n = 0.5 * 10 / 3 ≈ 1.67; average per-edge Σq must approach it.
-        for edge, cost in sampler.average_costs().items():
-            controller = sampler._controllers[edge]
-            assert cost <= controller.capacity + controller.queue / max(
-                controller.steps, 1
-            ) + 0.2
 
     def test_power_of_choice_concentrates_participation(self):
         """Greedy selection yields lower participation fairness than
@@ -78,8 +60,6 @@ class TestExtensionSamplersInTrainer:
                 "blobs", num_devices=10, samples_per_device=25,
                 test_samples=80, rng=0,
             )
-            from repro.mobility.markov import MarkovMobilityModel
-
             trace = MarkovMobilityModel.stay_or_jump(3, 0.8, rng=0).sample_trace(
                 60, 10, rng=1
             )
@@ -99,16 +79,6 @@ class TestExtensionSamplersInTrainer:
             trainer.run(60)
             results[name] = telemetry.jain_fairness()
         assert results["poc"] <= results["uniform"] + 0.05
-
-
-class TestWaypointTraceInTrainer:
-    def test_training_over_waypoint_trace(self):
-        trace, _edge_map = RandomWaypointModel(rng=5).sample_trace(
-            30, 10, num_edges=3
-        )
-        trainer = build_trainer(UniformSampler(), trace=trace, steps=30)
-        result = trainer.run(30)
-        assert result.steps_run == 30
 
 
 class TestMobilityExperiment:

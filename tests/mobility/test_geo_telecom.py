@@ -69,7 +69,6 @@ class TestEdgeMap:
         ]
         edge_map = EdgeMap(stations, np.array([0, 1]))
         assert edge_map.nearest_station(1.0, 1.0) == 0
-        assert edge_map.edge_of_position(9.0, 9.0) == 1
 
     def test_edge_of_station_bounds(self):
         edge_map = EdgeMap([BaseStation(0, 0, 0)], np.array([0]))

@@ -16,7 +16,6 @@ import pytest
 
 from repro.nn.architectures import build_mlp, build_mnist_cnn
 from repro.nn.loss import SoftmaxCrossEntropy
-from repro.nn.optim import SGD
 
 
 @pytest.fixture
@@ -127,26 +126,6 @@ class TestFusedUpdate:
         assert grad is out
         assert not np.shares_memory(grad, mlp.grad_view())
         np.testing.assert_array_equal(grad, mlp.grad_view())
-
-
-class TestSGDStepFlat:
-    @pytest.mark.parametrize("kwargs", [
-        dict(lr=0.1),
-        dict(lr=0.1, momentum=0.9),
-        dict(lr=0.1, weight_decay=0.01),
-    ])
-    def test_matches_per_parameter_step(self, kwargs, rng):
-        model = build_mlp(6, hidden=(8,), num_classes=3, rng=rng)
-        twin = copy.deepcopy(model)
-        x = rng.normal(size=(4, 6))
-        y = rng.integers(0, 3, size=4)
-        flat_opt, loop_opt = SGD(**kwargs), SGD(**kwargs)
-        for _ in range(3):
-            model.loss_and_grad(x, y)
-            flat_opt.step_flat(model)
-            twin.loss_and_grad(x, y)
-            loop_opt.step(twin.parameters())
-        np.testing.assert_array_equal(model.flat_copy(), twin.flat_copy())
 
 
 class TestCopyReAliasing:

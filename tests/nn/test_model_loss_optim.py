@@ -1,4 +1,4 @@
-"""Tests for Sequential/Model, losses and optimizers."""
+"""Tests for Sequential/Model, losses and architectures."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.nn.architectures import (
 from repro.nn.layers import Dense, ReLU
 from repro.nn.loss import SoftmaxCrossEntropy, accuracy
 from repro.nn.model import Sequential
-from repro.nn.optim import SGD, ConstantLR, ExponentialDecayLR
 
 
 @pytest.fixture
@@ -186,51 +185,6 @@ class TestPredict:
         np.testing.assert_array_equal(
             small_mlp.predict(x, batch_size=3), small_mlp.predict(x, batch_size=100)
         )
-
-
-class TestSGD:
-    def test_plain_step(self, rng):
-        layer = Dense(2, 2, rng=rng)
-        layer.weight.grad[...] = 1.0
-        before = layer.weight.value.copy()
-        SGD(lr=0.1).step([layer.weight, layer.bias])
-        np.testing.assert_allclose(layer.weight.value, before - 0.1)
-
-    def test_momentum_accelerates(self, rng):
-        layer_a = Dense(2, 2, rng=np.random.default_rng(0))
-        layer_b = Dense(2, 2, rng=np.random.default_rng(0))
-        sgd_plain = SGD(lr=0.1)
-        sgd_momentum = SGD(lr=0.1, momentum=0.9)
-        for _ in range(3):
-            layer_a.weight.grad[...] = 1.0
-            layer_b.weight.grad[...] = 1.0
-            sgd_plain.step([layer_a.weight])
-            sgd_momentum.step([layer_b.weight])
-        assert np.all(layer_b.weight.value < layer_a.weight.value)
-
-    def test_weight_decay_shrinks(self, rng):
-        layer = Dense(2, 2, rng=rng)
-        layer.weight.value[...] = 1.0
-        layer.weight.grad[...] = 0.0
-        SGD(lr=0.1, weight_decay=0.5).step([layer.weight])
-        np.testing.assert_allclose(layer.weight.value, 0.95)
-
-    def test_schedule_decays(self):
-        sgd = SGD(lr=1.0, schedule=ExponentialDecayLR(1.0, 0.5, decay_steps=1))
-        assert sgd.lr == 1.0
-        sgd.step([])
-        assert sgd.lr == 0.5
-
-    def test_constant_schedule(self):
-        assert ConstantLR(0.3)(100) == 0.3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SGD(lr=-1)
-        with pytest.raises(ValueError):
-            SGD(momentum=1.5)
-        with pytest.raises(ValueError):
-            ExponentialDecayLR(1.0, decay=1.5)
 
 
 class TestArchitectures:

@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.experiments.config import SAMPLER_NAMES
 from repro.experiments.runner import run_single
 from repro.faults import TrainerCheckpoint
 from repro.service import (
@@ -57,8 +58,11 @@ class TestSubmitAndComplete:
 
     def test_unknown_sampler_rejected_at_submit(self, scenario):
         with Coordinator() as coordinator:
-            with pytest.raises(ValueError, match="unknown sampler"):
+            with pytest.raises(ValueError) as excinfo:
                 coordinator.submit(scenario, sampler="gradient-descent")
+            assert str(excinfo.value) == (
+                f"unknown sampler 'gradient-descent'; choose from {SAMPLER_NAMES}"
+            )
 
     def test_failed_run_captures_error(self, scenario):
         # model_scale is only validated when the trainer is built, so

@@ -12,11 +12,13 @@ import json
 import time
 import urllib.error
 import urllib.request
+from unittest import mock
 
 import pytest
 
 import repro.api as api
 from repro.experiments import runner
+from repro.experiments.config import PRESETS, SAMPLER_NAMES
 from repro.experiments.runner import run_single
 from repro.hfl.config import HFLConfig
 from repro.service import (
@@ -147,7 +149,7 @@ class TestErrors:
             ([1, 2], "must be a JSON object"),
             ({"sampler": "mach"}, "exactly one of"),
             ({"preset": "blobs-bench", "sampler": "not-a-sampler"},
-             "unknown sampler"),
+             f"unknown sampler 'not-a-sampler'; choose from {SAMPLER_NAMES}"),
             ({"preset": "blobs-bench", "overrides": {"executor": "gpu"}},
              "executor must be one of"),
             ({"preset": "blobs-bench", "overrides": {"gossip_degre": 3}},
@@ -280,6 +282,55 @@ class TestQueueBound:
         finally:
             server.shutdown()
             coordinator.shutdown()
+
+
+def _refuse(self, record):
+    raise RuntimeError("oversized runs are not executed")
+
+
+class TestSizeBound:
+    """A scenario too large to build is refused with a 400 naming the
+    field, and registers nothing."""
+
+    def test_oversized_submission_is_400(self):
+        # Execution is replaced by one that fails at once, so a run the
+        # bound failed to refuse is never built.
+        with mock.patch.object(Coordinator, "_execute_run", _refuse):
+            coordinator = Coordinator()
+            server = CoordinatorServer(coordinator, host="127.0.0.1", port=0)
+            server.serve_background()
+            try:
+                client = ServiceClient(server.url)
+                cases = [
+                    ({"num_devices": 100_000_000_000},
+                     "num_devices=100000000000 exceeds the service limit"),
+                    ({"num_steps": 10**23},
+                     f"num_steps={10**23} exceeds the service limit"),
+                    ({"samples_per_device": 10**8},
+                     "num_devices * samples_per_device + test_samples="),
+                ]
+                for overrides, message in cases:
+                    with pytest.raises(ServiceError) as excinfo:
+                        client._request("POST", "/v1/runs", {
+                            "preset": "blobs-bench", "overrides": overrides,
+                        })
+                    assert excinfo.value.status == 400
+                    assert message in str(excinfo.value)
+                assert client.list_runs() == []
+            finally:
+                server.shutdown()
+                coordinator.shutdown()
+
+    def test_bound_admits_presets_and_the_suite_tenfold(self):
+        chaos = PRESETS["blobs-bench"].with_overrides(
+            num_devices=250, samples_per_device=20, num_steps=2000,
+        )
+        for config in [*PRESETS.values(), chaos]:
+            coordinator_module._check_run_size(config.with_overrides(
+                num_devices=10 * config.num_devices,
+                num_steps=10 * config.num_steps,
+                samples_per_device=10 * config.samples_per_device,
+            ))
 
 
 class TestAttach:

@@ -1,10 +1,10 @@
 """The engine's import path stays free of scipy.
 
-scipy serves only a test oracle (``solve_problem1``), the telecom
-station clustering and the image-prototype smoothing; each imports it
-where it is used.  Importing ``scipy.optimize`` at module top used to
-cost tens of MB of resident memory in every process that imported
-``repro``, whether or not it ever needed scipy.  The check runs in a
+In ``src/`` scipy serves only the telecom station clustering and the
+image-prototype smoothing; each imports it where it is used.  Importing
+``scipy.optimize`` at module top used to cost tens of MB of resident
+memory in every process that imported ``repro``, whether or not it ever
+needed scipy.  The check runs in a
 fresh interpreter, since this test process has long imported scipy.
 """
 

@@ -1,4 +1,4 @@
-"""Tests for JSON result serialization, the Adam optimizer and the CLI."""
+"""Tests for JSON result serialization and the run_all CLI."""
 
 import json
 
@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 from repro.experiments.run_all import ARTIFACTS, build_parser, main
 from repro.hfl.metrics import TrainingHistory
 from repro.hfl.trainer import TrainingResult
-from repro.nn.architectures import build_mlp
-from repro.nn.layers import Dense
-from repro.nn.optim import SGD, Adam
 from repro.utils.serialization import (
     ArrayDecodeError,
     from_jsonable,
@@ -203,53 +200,6 @@ class TestTaggedJson:
     def test_unknown_types_rejected(self):
         with pytest.raises(TypeError, match="cannot encode"):
             to_jsonable({"bad": object()})
-
-
-class TestAdam:
-    def test_descends_loss(self, rng):
-        model = build_mlp(8, num_classes=3, hidden=(8,), rng=rng)
-        optimizer = Adam(lr=0.01)
-        x = rng.normal(size=(16, 8))
-        y = rng.integers(0, 3, size=16)
-        loss0, _ = model.loss_and_grad(x, y)
-        for _ in range(40):
-            model.loss_and_grad(x, y)
-            optimizer.step(model.parameters())
-        loss1, _ = model.loss_and_grad(x, y)
-        assert loss1 < loss0 * 0.7
-
-    def test_adapts_per_coordinate(self, rng):
-        """Adam normalizes step sizes: a coordinate with tiny gradients
-        still moves at ~lr scale, unlike SGD."""
-        layer_sgd = Dense(1, 2, rng=np.random.default_rng(0))
-        layer_adam = Dense(1, 2, rng=np.random.default_rng(0))
-        sgd, adam = SGD(lr=0.01), Adam(lr=0.01)
-        for _ in range(10):
-            layer_sgd.weight.grad[...] = np.array([[1e-4, 1.0]])
-            layer_adam.weight.grad[...] = np.array([[1e-4, 1.0]])
-            sgd.step([layer_sgd.weight])
-            adam.step([layer_adam.weight])
-        sgd_move = np.abs(layer_sgd.weight.value[0, 0] - layer_adam.weight.value[0, 0])
-        # Adam moved the small-gradient coordinate ~1000x more than SGD.
-        assert np.abs(layer_adam.weight.value[0, 0]) > 1e-3
-        assert sgd_move > 0
-
-    def test_reset(self):
-        adam = Adam()
-        layer = Dense(2, 2, rng=np.random.default_rng(0))
-        layer.weight.grad[...] = 1.0
-        adam.step([layer.weight])
-        adam.reset()
-        assert adam.step_count == 0
-        assert not adam._first
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Adam(lr=0)
-        with pytest.raises(ValueError):
-            Adam(beta1=1.0)
-        with pytest.raises(ValueError):
-            Adam(weight_decay=-1)
 
 
 class TestRunAllCli:
