@@ -18,6 +18,7 @@ and thus task difficulty — is controlled by the separation/noise ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -77,6 +78,21 @@ TASK_SPECS: Dict[str, SyntheticTaskSpec] = {
         name="cifar10", input_shape=(3, 32, 32), separation=1.0, noise=1.2
     ),
 }
+
+#: Flat features of one ``blobs`` example.
+BLOB_FEATURES = 16
+
+
+def example_size(task: str, image_size: Optional[int] = None) -> int:
+    """Values in one example of ``task``: its features, or C × H × W."""
+    if task == "blobs":
+        return BLOB_FEATURES
+    if task not in TASK_SPECS:
+        raise ValueError(f"unknown task {task!r}")
+    spec = TASK_SPECS[task]
+    if image_size is not None:
+        spec = spec.scaled(image_size)
+    return math.prod(spec.input_shape)
 
 
 def _class_prototypes(
@@ -172,7 +188,7 @@ def _blob_centers(num_features: int, num_classes: int) -> np.ndarray:
 
 def make_blobs_dataset(
     num_samples: int,
-    num_features: int = 16,
+    num_features: int = BLOB_FEATURES,
     num_classes: int = 10,
     separation: float = 2.0,
     noise: float = 1.0,

@@ -6,7 +6,6 @@ Also usable as a CLI, organized into subcommands::
         --preset blobs-bench --sampler mach --executor process --num-workers 4
     PYTHONPATH=src python -m repro.experiments.runner serve --port 8765
     PYTHONPATH=src python -m repro.experiments.runner resume checkpoint.json
-    PYTHONPATH=src python -m repro.experiments.runner bench-smoke
 
 The ``run``/``resume`` scenario flags are derived from the
 :class:`ScenarioConfig` field metadata.
@@ -389,12 +388,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
              "write the final HealthReport (verdict, rules, transitions) "
              "as JSON to PATH",
     )
-    obs_group.add_argument(
-        "--obs-off", action="store_true",
-        help="one switch to force ALL observability off — event log, "
-             "trace, metrics, profiler and health hooks — even when "
-             "their flags are given (for A/B bit-identity checks)",
-    )
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument(
         "--log-level", default="info", choices=("quiet", "info", "debug"),
@@ -416,17 +409,6 @@ def _profile_requested(args) -> bool:
     )
 
 
-def _obs_requested(args) -> bool:
-    """Whether any observability flag would construct a sink."""
-    return bool(
-        args.log_jsonl
-        or args.trace_out
-        or args.metrics_out
-        or args.health_out
-        or _profile_requested(args)
-    )
-
-
 def _build_observability(args, config: ScenarioConfig):
     """Construct the CLI run's :class:`repro.obs.Observability`, or None.
 
@@ -435,14 +417,16 @@ def _build_observability(args, config: ScenarioConfig):
     MACH audit trail, which mirrors its decisions into the log as
     ``sampling`` events; ``--health-out`` (and ``--metrics-out``) bring
     up the metrics registry with the resource accountant attached, so
-    payload/RSS metrics reach the exporters.  ``--obs-off`` is the
-    single kill switch: it returns None before ANY sink — including the
-    profiler and health hooks — is constructed, so there is no partial
-    instrumentation to reason about.
+    payload/RSS metrics reach the exporters.  With no observability flag
+    it returns None, and the run constructs no sink at all.
     """
-    if args.obs_off:
-        return None
-    if not _obs_requested(args):
+    if not (
+        args.log_jsonl
+        or args.trace_out
+        or args.metrics_out
+        or args.health_out
+        or _profile_requested(args)
+    ):
         return None
     from repro.faults import make_fault_model, resolve_fault_profile
     from repro.obs import (
@@ -577,12 +561,6 @@ def _run_command(args) -> int:
     except ValueError as error:
         return _scenario_error(error)
 
-    if args.obs_off and _obs_requested(args):
-        echo(
-            "warning: --obs-off overrides the given observability flags; "
-            "no event log, trace, metrics, profile or health output "
-            "will be written"
-        )
     obs = _build_observability(args, config)
 
     telemetry = None
@@ -700,7 +678,7 @@ def _run_command(args) -> int:
 # Subcommand dispatch
 
 
-SUBCOMMANDS = ("run", "serve", "resume", "bench-smoke")
+SUBCOMMANDS = ("run", "serve", "resume")
 
 _PROG = "repro.experiments.runner"
 
@@ -752,60 +730,6 @@ def _serve_command(args) -> int:
     return 0
 
 
-def _bench_smoke_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=f"{_PROG} bench-smoke",
-        description="Smoke-check the coordinator service against the "
-                    "synchronous trainer: same scenario, same seed, the "
-                    "service run must be bit-identical.",
-    )
-    parser.add_argument(
-        "--preset", default="blobs-bench",
-        help="scenario preset (default: blobs-bench)",
-    )
-    parser.add_argument(
-        "--sampler", default="mach",
-        help="device-sampling strategy (default: mach)",
-    )
-    parser.add_argument(
-        "--steps", type=int, default=6, metavar="T",
-        help="override num_steps for the smoke run (default: 6)",
-    )
-    return parser
-
-
-def _bench_smoke_command(args) -> int:
-    import tempfile
-
-    from repro.api import run_scenario
-    from repro.service import Coordinator
-
-    reference = run_scenario(
-        preset=args.preset, sampler=args.sampler, num_steps=args.steps
-    )
-    config = PRESETS[args.preset].with_overrides(num_steps=args.steps)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-smoke-") as state:
-        with Coordinator(state_dir=state) as coordinator:
-            run_id = coordinator.submit(
-                config, sampler=args.sampler, preset=args.preset
-            )
-            result = coordinator.result(run_id)
-    identical = (
-        reference.final_cloud_model is not None
-        and result.final_cloud_model is not None
-        and np.array_equal(
-            reference.final_cloud_model, result.final_cloud_model
-        )
-    )
-    verdict = "PASS" if identical else "FAIL"
-    print(
-        f"bench-smoke {verdict}: preset={args.preset} "
-        f"sampler={args.sampler} steps={result.steps_run} "
-        f"service run bit-identical to synchronous trainer: {identical}"
-    )
-    return 0 if identical else 1
-
-
 def _run_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=f"{_PROG} run",
@@ -837,7 +761,6 @@ _COMMANDS = {
     "run": (_run_parser, _run_command),
     "serve": (_serve_parser, _serve_command),
     "resume": (_resume_parser, _resume_command),
-    "bench-smoke": (_bench_smoke_parser, _bench_smoke_command),
 }
 
 
@@ -845,8 +768,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = argparse.ArgumentParser(
         prog=_PROG,
-        description="Run or resume one scenario, serve the coordinator, "
-                    "or smoke-check it against the synchronous trainer.",
+        description="Run or resume one scenario, or serve the coordinator.",
     )
     parser.add_argument("command", choices=SUBCOMMANDS)
     command = parser.parse_args(argv[:1]).command

@@ -11,7 +11,7 @@ nearest station — the nearest-edge access rule of §II-A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -49,11 +49,6 @@ class EdgeMap:
         self.station_edge = station_edge
         self.num_edges = int(station_edge.max()) + 1
         self._positions = np.array([(s.x, s.y) for s in stations])
-
-    def nearest_station(self, x: float, y: float) -> int:
-        """Index of the station closest to (x, y)."""
-        d2 = np.sum((self._positions - np.array([x, y])) ** 2, axis=1)
-        return int(np.argmin(d2))
 
     def edge_of_station(self, station_id: int) -> int:
         """Main-edge index of a station."""

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.data.synthetic import example_size
 from repro.experiments.config import (
     DEFAULT_SAMPLER,
     ScenarioConfig,
@@ -64,12 +65,14 @@ DEFAULT_CHECKPOINT_EVERY = 5
 MAX_QUEUED_RUNS = 64
 
 #: Largest population, horizon (steps) and data volume (training plus
-#: test samples) :meth:`Coordinator.submit` accepts, each far above every
-#: preset and the 100k-device flagship; past one it raises a
-#: ``ValueError`` naming the field (HTTP 400), so no run is built.
+#: test samples times the values in one sample) :meth:`Coordinator.submit`
+#: accepts, each far above every preset and the 100k-device flagship
+#: (``cifar10-paper`` holds 1.5e8 values, and 1.5e10 at ten times its
+#: devices and samples); past one it raises a ``ValueError`` naming the
+#: field (HTTP 400), so no run is built.
 MAX_RUN_DEVICES = 1_000_000
 MAX_RUN_STEPS = 100_000
-MAX_RUN_SAMPLES = 10_000_000
+MAX_RUN_VALUES = 30_000_000_000
 
 
 class UnknownRunError(KeyError):
@@ -83,10 +86,15 @@ class QueueFullError(RuntimeError):
 def _check_run_size(config: ScenarioConfig) -> None:
     """Refuse a scenario past one of the ``MAX_RUN_*`` bounds."""
     samples = config.num_devices * config.samples_per_device + config.test_samples
+    values = samples * example_size(config.task, config.image_size)
     for name, value, limit in (
         ("num_devices", config.num_devices, MAX_RUN_DEVICES),
         ("num_steps", config.num_steps, MAX_RUN_STEPS),
-        ("num_devices * samples_per_device + test_samples", samples, MAX_RUN_SAMPLES),
+        (
+            "(num_devices * samples_per_device + test_samples) * values per sample",
+            values,
+            MAX_RUN_VALUES,
+        ),
     ):
         if value > limit:
             raise ValueError(f"{name}={value} exceeds the service limit of {limit}")

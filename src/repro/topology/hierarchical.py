@@ -4,9 +4,8 @@
 the reference pair: its sync step delegates to the exact pre-topology
 code paths (:meth:`Cloud.aggregate_models` then broadcast), so a run
 with the default pair is **bit-identical** to the pre-refactor trainer
-on every executor backend — ``benchmarks/bench_topology.py --smoke``
-and ``tests/topology/test_equivalence.py`` assert it against the
-runnable reference twin (:mod:`repro.topology.reference`).
+on every executor backend — ``tests/topology/test_equivalence.py``
+asserts it against golden fingerprints recorded with that trainer.
 """
 
 from __future__ import annotations

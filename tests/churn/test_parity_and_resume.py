@@ -68,6 +68,8 @@ class TestExecutorParityOpenWorld:
         # upload went through the staleness buffer.
         assert base_result.devices_joined + base_result.devices_left > 0
         assert base_result.late_admits + base_result.late_drops > 0
+        assert np.all(np.isfinite(base_result.history.accuracy))
+        assert np.all(np.isfinite(base_result.history.loss))
 
         for kind in EXECUTOR_KINDS:
             if kind == "serial":

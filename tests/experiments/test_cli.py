@@ -56,7 +56,6 @@ RUN_SURFACE = {
     "--flamegraph-out": (None, None, None, "PATH"),
     "--profile-alloc-every": (None, None, int, "K"),
     "--health-out": (None, None, None, "PATH"),
-    "--obs-off": (False, None, None, None),
     "--log-level": ("info", ("quiet", "info", "debug"), None, None),
     "--quiet": (False, None, None, None),
 }

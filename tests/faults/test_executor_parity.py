@@ -36,6 +36,8 @@ def test_executors_bit_identical_under_severe_faults():
     # The profile must actually be doing something for this to be a
     # meaningful parity test.
     assert base_telemetry.fault_summary()
+    assert np.all(np.isfinite(base_result.history.accuracy))
+    assert np.all(np.isfinite(base_result.history.loss))
 
     for kind in EXECUTOR_KINDS:
         if kind == "serial":

@@ -62,14 +62,6 @@ class TestClusterStations:
 
 
 class TestEdgeMap:
-    def test_nearest_station(self):
-        stations = [
-            BaseStation(0, 0.0, 0.0),
-            BaseStation(1, 10.0, 10.0),
-        ]
-        edge_map = EdgeMap(stations, np.array([0, 1]))
-        assert edge_map.nearest_station(1.0, 1.0) == 0
-
     def test_edge_of_station_bounds(self):
         edge_map = EdgeMap([BaseStation(0, 0, 0)], np.array([0]))
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.mach import MACHSampler
 from repro.experiments import runner
-from repro.obs import EventLog, Observability
+from repro.obs import EventLog, Observability, Profiler
 from repro.runtime import EXECUTOR_KINDS
 
 from tests.obs.conftest import build_obs_trainer
@@ -55,6 +55,15 @@ class TestBitIdentity:
         assert obs.events.num_events > 0
         assert obs.tracer.spans
         assert obs.audit.decisions
+
+    @pytest.mark.parametrize("executor", EXECUTOR_KINDS)
+    def test_profiler_on_equals_obs_off(self, executor):
+        kwargs = {"executor": executor, "num_workers": 2}
+        baseline = run_once(obs=None, **kwargs)
+        profiler = Profiler()
+        observed = run_once(obs=Observability(profiler=profiler), **kwargs)
+        assert_bit_identical(baseline, observed)
+        assert profiler.hotspot_table()
 
     def test_obs_on_under_faults_equals_obs_off(self):
         kwargs = {"fault_profile": "severe", "steps": 10}
@@ -182,11 +191,6 @@ class TestRunnerCLI:
         prom = (tmp_path / "metrics.prom").read_text()
         assert "# TYPE repro_steps_total counter" in prom
         assert capsys.readouterr().out == ""
-
-    def test_obs_off_wins_over_sink_flags(self, tmp_path):
-        log = tmp_path / "run.jsonl"
-        self.run_cli(tmp_path, "--log-jsonl", log, "--obs-off")
-        assert not log.exists()
 
     def test_manifest_records_fault_profile(self, tmp_path):
         log = tmp_path / "run.jsonl"

@@ -3,8 +3,8 @@
 ``repro.api`` is the versioned stability contract: everything in its
 ``__all__`` must exist, and the three entry points (``run_scenario`` /
 ``submit`` / ``attach``) must route to the same engine the CLI drives.
-The CLI itself is subcommand-structured (`run`, `serve`, `resume`,
-`bench-smoke`); a call without a subcommand is a usage error.
+The CLI itself is subcommand-structured (`run`, `serve`, `resume`); a
+call without a subcommand is a usage error.
 """
 
 import numpy as np
@@ -108,7 +108,7 @@ class TestCLISubcommands:
             runner.main(self.run_args())
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "{run,serve,resume,bench-smoke}" in err
+        assert "{run,serve,resume}" in err
 
     def test_resume_subcommand(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
@@ -122,12 +122,6 @@ class TestCLISubcommands:
             "resume", str(ckpt), *self.run_args("--steps", "6"),
         ]) == 0
         capsys.readouterr()
-
-    def test_bench_smoke_subcommand(self, capsys):
-        assert runner.main(["bench-smoke", "--steps", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "bench-smoke PASS" in out
-        assert "bit-identical to synchronous trainer: True" in out
 
     def test_unknown_subcommand_exits(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

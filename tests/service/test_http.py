@@ -307,7 +307,9 @@ class TestSizeBound:
                     ({"num_steps": 10**23},
                      f"num_steps={10**23} exceeds the service limit"),
                     ({"samples_per_device": 10**8},
-                     "num_devices * samples_per_device + test_samples="),
+                     "samples_per_device + test_samples) * values per sample="),
+                    ({"task": "mnist", "image_size": 100_000},
+                     "samples_per_device + test_samples) * values per sample="),
                 ]
                 for overrides, message in cases:
                     with pytest.raises(ServiceError) as excinfo:

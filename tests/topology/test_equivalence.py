@@ -1,7 +1,9 @@
 """End-to-end topology contracts on the real trainer.
 
 (1) The clustered and gossip modes are deterministic under a fixed
-seed and replay exactly across checkpoint kill/resume; (2) a checkpoint
+seed, every topology keeps a finite, in-range history under MACH and
+two baselines, and every topology replays exactly across checkpoint
+kill/resume; (2) a checkpoint
 taken under one topology refuses to restore into another; (3) the
 default ``hierarchical`` + ``ipw`` pair equals the pre-topology trainer
 on every executor, through golden fingerprint cells (``tests/golden``)
@@ -70,6 +72,17 @@ class TestSeededDeterminism:
         a = run_single(config, "mach")
         b = run_single(config.with_overrides(seed=1), "mach")
         assert a.history.accuracy != b.history.accuracy
+
+
+class TestSaneHistories:
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGY_KINDS))
+    def test_samplers_keep_a_sane_history(self, topology):
+        for sampler in ("mach", "uniform", "class_balance"):
+            result = run_single(config_for(topology), sampler)
+            accuracy = np.asarray(result.history.accuracy)
+            assert accuracy.size
+            assert np.all((0.0 <= accuracy) & (accuracy <= 1.0))
+            assert np.all(np.isfinite(result.history.loss))
 
 
 class TestKillResumeParity:
