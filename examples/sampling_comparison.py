@@ -13,7 +13,8 @@ Run:  python examples/sampling_comparison.py [task]
 
 import sys
 
-from repro.experiments import PRESETS, run_comparison
+from repro.experiments.config import PRESETS
+from repro.experiments.runner import run_comparison
 
 
 def main() -> None:

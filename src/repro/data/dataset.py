@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +38,7 @@ class Dataset:
         self.x = x
         self.y = y
         self.num_classes = num_classes
+        self._fingerprint: Optional[str] = None
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -45,6 +47,17 @@ class Dataset:
     def feature_shape(self) -> Tuple[int, ...]:
         """Shape of a single example (without the batch dimension)."""
         return self.x.shape[1:]
+
+    @property
+    def fingerprint(self) -> str:
+        """SHA-256 of the examples, labels and class count, computed on
+        first use from the array buffers in place."""
+        if self._fingerprint is None:
+            digest = hashlib.sha256(repr((self.x.shape, self.num_classes)).encode())
+            for array in (self.x, self.y):
+                digest.update(np.ascontiguousarray(array))
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """A view of the examples at ``indices`` (labels preserved)."""

@@ -6,28 +6,6 @@ the paper reports, plus a module-level ``main()`` for CLI use.  The
 ``"bench"`` preset is CPU-sized (reduced resolution / population /
 horizon); ``"paper"`` matches the paper's §IV-A.2 settings and is
 correspondingly slow on a pure-numpy substrate.
+The package imports none of its modules (so ``python -m
+repro.experiments.runner`` imports the runner once).
 """
-
-from repro.experiments.config import (
-    PRESETS,
-    SAMPLER_NAMES,
-    ScenarioConfig,
-    make_sampler,
-)
-from repro.experiments.runner import (
-    ComparisonReport,
-    build_scenario,
-    run_comparison,
-    run_single,
-)
-
-__all__ = [
-    "PRESETS",
-    "SAMPLER_NAMES",
-    "ScenarioConfig",
-    "make_sampler",
-    "ComparisonReport",
-    "build_scenario",
-    "run_comparison",
-    "run_single",
-]

@@ -33,7 +33,12 @@ from repro.experiments.config import (
     hfl_config_for,
     make_sampler,
 )
-from repro.faults import CheckpointMismatchError, TrainerCheckpoint
+from repro.faults import (
+    RESUMABLE_FIELDS,
+    CheckpointMismatchError,
+    TrainerCheckpoint,
+    check_identity,
+)
 from repro.hfl.trainer import HFLTrainer, TrainingResult
 from repro.mobility.markov import MarkovMobilityModel
 from repro.mobility.streaming import (
@@ -144,6 +149,28 @@ def build_scenario(
     return devices, test, trace, model_factory
 
 
+def build_trainer(
+    config: ScenarioConfig, sampler: str, telemetry=None, obs=None
+) -> HFLTrainer:
+    """The trainer for one run of ``sampler`` on a freshly built ``config``.
+
+    :func:`run_single` and the coordinator service both build their
+    trainers here, so both name their checkpoints by ``config``.
+    """
+    devices, test, trace, model_factory = build_scenario(config, config.seed)
+    return HFLTrainer(
+        model_factory=model_factory,
+        device_datasets=devices,
+        trace=trace,
+        sampler=make_sampler(sampler, config),
+        config=hfl_config_for(config, config.seed),
+        test_dataset=test,
+        telemetry=telemetry,
+        obs=obs,
+        scenario=config,
+    )
+
+
 def run_single(
     config: ScenarioConfig,
     sampler_name: str,
@@ -155,23 +182,13 @@ def run_single(
 ) -> TrainingResult:
     """Run one sampler on one freshly built scenario instance.
 
-    ``resume_from`` (a checkpoint path or
-    :class:`~repro.faults.TrainerCheckpoint`) continues a killed run;
+    ``seed`` replaces the scenario's; ``resume_from`` (a checkpoint path
+    or :class:`~repro.faults.TrainerCheckpoint`) continues a killed run;
     ``obs`` attaches a :class:`repro.obs.Observability` handle.
     """
-    seed = config.seed if seed is None else seed
-    devices, test, trace, model_factory = build_scenario(config, seed)
-    trainer = HFLTrainer(
-        model_factory=model_factory,
-        device_datasets=devices,
-        trace=trace,
-        sampler=make_sampler(sampler_name, config),
-        config=hfl_config_for(config, seed),
-        test_dataset=test,
-        telemetry=telemetry,
-        obs=obs,
-    )
-    with trainer:
+    if seed is not None:
+        config = config.with_overrides(seed=seed)
+    with build_trainer(config, sampler_name, telemetry, obs) as trainer:
         return trainer.run(
             config.num_steps,
             target_accuracy=config.target_accuracy,
@@ -319,11 +336,10 @@ def _scenario_overrides(args) -> Dict[str, object]:
 
 
 #: The option behind each :class:`~repro.faults.CheckpointMismatchError`
-#: field, for a one-line resume error.
+#: field, for a one-line resume error; ``--preset`` for any other field.
 _MISMATCH_FLAGS: Dict[str, str] = {
     **{f.name: f.metadata["flag"] for f in CLI_FIELDS},
     "sampler": "--sampler",
-    "model": "--preset",
 }
 
 
@@ -339,10 +355,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     _add_scenario_arguments(parser)
     parser.add_argument("--stop-at-target", action="store_true",
                         help="stop as soon as the target accuracy is reached")
-    parser.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="resume a killed run from the checkpoint at PATH",
-    )
     obs_group = parser.add_argument_group("observability")
     obs_group.add_argument(
         "--log-jsonl", default=None, metavar="PATH",
@@ -409,7 +421,7 @@ def _profile_requested(args) -> bool:
     )
 
 
-def _build_observability(args, config: ScenarioConfig):
+def _build_observability(args, config: ScenarioConfig, sampler: str):
     """Construct the CLI run's :class:`repro.obs.Observability`, or None.
 
     Each sink is enabled only by its own flag, so ``--trace-out`` alone
@@ -449,7 +461,7 @@ def _build_observability(args, config: ScenarioConfig):
         events.write_manifest(
             build_manifest(
                 seed=config.seed,
-                sampler=args.sampler,
+                sampler=sampler,
                 num_steps=config.num_steps,
                 config=config.to_dict(),
                 fault_profile=(
@@ -522,13 +534,55 @@ def _scenario_error(error: ValueError) -> int:
     """
     hint = ""
     if isinstance(error, CheckpointMismatchError):
-        hint = f"; check {_MISMATCH_FLAGS[error.field]}"
+        hint = f"; check {_MISMATCH_FLAGS.get(error.field, '--preset')}"
     print(f"{_PROG}: error: {error}{hint}", file=sys.stderr)
     return 2
 
 
 def _run_command(args) -> int:
-    """Execute one configured run (the ``run``/``resume`` subcommands).
+    """The ``run`` subcommand: the preset with the flags given."""
+    try:
+        config = PRESETS[args.preset].with_overrides(**_scenario_overrides(args))
+    except ValueError as error:
+        return _scenario_error(error)
+    return _execute(args, config, args.sampler)
+
+
+def _resume_command(args) -> int:
+    """The ``resume`` subcommand: the checkpoint's own scenario and
+    sampler.  A flag may restate a recorded value or set a resumable
+    field; ``--preset`` sets the fields no flag sets."""
+    try:
+        # Crash-safe resume: a truncated or checksum-corrupted primary
+        # checkpoint falls back to the rotated .prev copy that save()
+        # kept from the previous write.
+        checkpoint, used = TrainerCheckpoint.load_with_fallback(args.checkpoint)
+        identity = checkpoint.identity
+        given = _scenario_overrides(args)
+        claimed = {k: v for k, v in given.items() if k not in RESUMABLE_FIELDS}
+        sampler = args.sampler or identity.get("sampler")
+        check_identity(identity, {**identity, **claimed, "sampler": sampler})
+        recorded = {k: v for k, v in identity.items() if k in FIELD_TYPES}
+        base = ScenarioConfig()
+        if args.preset is not None:
+            base = PRESETS[args.preset]
+            recorded = {
+                f.name: recorded[f.name] for f in CLI_FIELDS if f.name in recorded
+            }
+        config = base.with_overrides(**{**recorded, **given})
+    except (FileNotFoundError, ValueError) as error:
+        return _scenario_error(error)
+    warning = None
+    if str(used) != str(args.checkpoint):
+        warning = (
+            f"warning: checkpoint at {args.checkpoint} is unusable; "
+            f"resuming from the rotated copy {used} (step {checkpoint.step})"
+        )
+    return _execute(args, config, sampler, checkpoint, warning)
+
+
+def _execute(args, config, sampler, resume_from=None, warning=None) -> int:
+    """Run (or resume) one configured run and print its summary.
 
     The engine validates its inputs by raising :class:`ValueError`, so
     one raised while the scenario is built or run is a usage error.
@@ -540,28 +594,9 @@ def _run_command(args) -> int:
         if verbosity >= min_level:
             print(message)
 
-    resume_from = None
-    if args.resume is not None:
-        # Crash-safe resume: a truncated or checksum-corrupted primary
-        # checkpoint falls back to the rotated .prev copy that save()
-        # kept from the previous write.
-        resume_from, used = TrainerCheckpoint.load_with_fallback(args.resume)
-        if str(used) != str(args.resume):
-            echo(
-                f"warning: checkpoint at {args.resume} is unusable; "
-                f"resuming from the rotated copy {used} "
-                f"(step {resume_from.step})"
-            )
-        if args.seed is None:
-            # The checkpoint records its run's master seed.
-            args.seed = resume_from.master_seed
-
-    try:
-        config = PRESETS[args.preset].with_overrides(**_scenario_overrides(args))
-    except ValueError as error:
-        return _scenario_error(error)
-
-    obs = _build_observability(args, config)
+    if warning is not None:
+        echo(warning)
+    obs = _build_observability(args, config, sampler)
 
     telemetry = None
     if (
@@ -581,7 +616,7 @@ def _run_command(args) -> int:
     try:
         result = run_scenario(
             config,
-            sampler=args.sampler,
+            sampler=sampler,
             stop_at_target=args.stop_at_target,
             telemetry=telemetry,
             resume_from=resume_from,
@@ -751,11 +786,6 @@ def _resume_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resume_command(args) -> int:
-    args.resume = args.checkpoint
-    return _run_command(args)
-
-
 #: ``subcommand -> (parser factory, handler)``.
 _COMMANDS = {
     "run": (_run_parser, _run_command),
@@ -773,7 +803,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("command", choices=SUBCOMMANDS)
     command = parser.parse_args(argv[:1]).command
     make_parser, handler = _COMMANDS[command]
-    return handler(make_parser().parse_args(argv[1:]))
+    parser = make_parser()
+    if command == "resume":
+        # Unless given, the preset and the sampler are the checkpoint's.
+        parser.set_defaults(preset=None, sampler=None)
+    return handler(parser.parse_args(argv[1:]))
 
 
 if __name__ == "__main__":  # pragma: no cover

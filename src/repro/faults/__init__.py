@@ -10,9 +10,12 @@ makes long runs resumable with exact-history replay.  See DESIGN.md §8.
 
 from repro.faults.checkpoint import (
     CHECKPOINT_VERSION,
+    RESUMABLE_FIELDS,
     CheckpointIntegrityError,
     CheckpointMismatchError,
     TrainerCheckpoint,
+    check_identity,
+    run_identity,
 )
 from repro.faults.model import (
     FaultModel,
@@ -36,10 +39,13 @@ __all__ = [
     "FAULT_PRESETS",
     "FaultModel",
     "FaultProfile",
+    "RESUMABLE_FIELDS",
     "SeededFaultModel",
     "SyncOutcome",
     "TrainerCheckpoint",
     "UploadFaults",
+    "check_identity",
     "make_fault_model",
     "resolve_fault_profile",
+    "run_identity",
 ]

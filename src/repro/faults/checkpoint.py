@@ -18,6 +18,9 @@ round-trips −0.0, ±inf and NaN exactly.  :meth:`TrainerCheckpoint.save`
 encodes the payload once: the file is the canonical JSON text the
 SHA-256 checksum is computed over, with the checksum appended.
 
+A checkpoint names its run with one JSON record (:func:`run_identity`),
+which a restore compares once (:func:`check_identity`).
+
 Models are checkpointed only as flat parameter vectors — never as
 layer objects — so the codec is independent of how a live
 :class:`~repro.nn.model.Model` stores parameters.  With the
@@ -35,12 +38,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.topology import validate_pair
 from repro.utils.serialization import (
     ArrayDecodeError,
     from_jsonable,
@@ -48,15 +52,21 @@ from repro.utils.serialization import (
 )
 
 #: Format marker so layout changes are detected on load.  v2 (the
-#: topology layer) added the ``topology_name`` / ``aggregation_name``
-#: run fingerprints and the ``topology_state`` snapshot.  v3 (the
+#: topology layer) added the ``topology_state`` snapshot.  v3 (the
 #: open-population layer) added the ``churn_state`` snapshot, the
 #: ``stale_buffer`` of parked late uploads, the ``robustness_counters``
 #: and the SHA-256 ``payload_sha256`` integrity checksum.  v4 stores
 #: arrays as base64 raw bytes instead of decimal lists, and the MACH
-#: tracker's state as columns instead of one dict per device.  Only the
-#: current version loads, and only with its checksum.
-CHECKPOINT_VERSION = 4
+#: tracker's state as columns instead of one dict per device.  v5
+#: replaces the seed, sampler, topology and aggregation fingerprints
+#: with the ``identity`` record.  Only the current version loads, and
+#: only with its checksum.
+CHECKPOINT_VERSION = 5
+
+#: The run settings a resume may change: they decide how and where a
+#: run executes and checkpoints, never what it computes.  The horizon is
+#: not among them: the telecom trace depends on it.
+RESUMABLE_FIELDS = ("executor", "num_workers", "checkpoint_every", "checkpoint_path")
 
 
 class CheckpointIntegrityError(ValueError):
@@ -66,15 +76,53 @@ class CheckpointIntegrityError(ValueError):
 class CheckpointMismatchError(ValueError):
     """A checkpoint does not belong to the scenario that resumes it.
 
-    ``field`` names the setting that differs: a scenario field
-    (``"seed"``, ``"num_edges"``, ...), ``"sampler"``, or ``"model"``
-    for the model architecture, so a front end can name the option to
-    change.
+    ``field`` names the setting that differs: a key of the identity
+    record (a scenario field such as ``"seed"`` or ``"num_edges"``,
+    ``"sampler"`` or ``"data"``), or ``"model"`` for the model
+    architecture, so a front end can name the option to change.
     """
 
     def __init__(self, field: str, message: str) -> None:
         super().__init__(message)
         self.field = field
+
+
+def run_identity(
+    config: Any, sampler: str, data: str, num_edges: int
+) -> Dict[str, Any]:
+    """The identity record of one run, as JSON values.
+
+    Every field of ``config`` (the run's ``ScenarioConfig``, or the
+    ``HFLConfig`` of a trainer built without one) outside
+    :data:`RESUMABLE_FIELDS`, with the aggregation strategy resolved;
+    the sampler's name, the digest of the data and the edge count.
+    """
+    record = {
+        f.name: getattr(config, f.name)
+        for f in fields(config)
+        if f.name not in RESUMABLE_FIELDS
+    }
+    record["aggregation_strategy"] = validate_pair(
+        config.topology, config.aggregation_strategy
+    )
+    record.update(num_edges=num_edges, sampler=sampler, data=data)
+    return to_jsonable(
+        {k: asdict(v) if is_dataclass(v) else v for k, v in record.items()}
+    )
+
+
+def check_identity(stored: Dict[str, Any], current: Dict[str, Any]) -> None:
+    """Raise :class:`CheckpointMismatchError` on the first key where a
+    checkpoint's identity record ``stored`` and the resuming run's
+    ``current`` differ (in ``current``'s order, so a scenario field is
+    named before the data it implies)."""
+    for key in {**current, **stored}:
+        if stored.get(key) != current.get(key):
+            raise CheckpointMismatchError(
+                key,
+                f"checkpoint was written with {key}={stored.get(key)!r}, "
+                f"this run has {key}={current.get(key)!r}",
+            )
 
 
 def _canonical_json(body: Dict[str, Any]) -> str:
@@ -103,13 +151,12 @@ class TrainerCheckpoint:
     """One resumable snapshot of an HFL run at a step boundary.
 
     ``step`` counts *completed* steps: resuming continues at ``t =
-    step``.  ``master_seed`` and ``sampler_name`` fingerprint the run so
+    step``.  ``identity`` is the run's :func:`run_identity` record, so
     a checkpoint cannot silently resume a different experiment.
     """
 
     step: int
-    master_seed: int
-    sampler_name: str
+    identity: Dict[str, Any]
     edge_models: List[np.ndarray]
     cloud_model: np.ndarray
     last_synced_edge_models: List[np.ndarray]
@@ -121,8 +168,6 @@ class TrainerCheckpoint:
     total_participants: int
     reached_target_at: Optional[int] = None
     telemetry_state: Optional[Dict[str, Any]] = None
-    topology_name: str = "hierarchical"
-    aggregation_name: str = "ipw"
     topology_state: Dict[str, Any] = field(default_factory=dict)
     #: Open-population snapshot (``None`` for a closed-world run).
     churn_state: Optional[Dict[str, Any]] = None
@@ -131,40 +176,14 @@ class TrainerCheckpoint:
     #: Robustness accounting the trainer surfaces in its result
     #: (simulated backoff, late admits/drops, churn totals).
     robustness_counters: Dict[str, Any] = field(default_factory=dict)
-    #: Adaptive-evaluation cursor (``None`` for fixed cadence or for
-    #: checkpoints that predate it): next due step, current interval,
-    #: and the accuracy of the previous evaluation.
+    #: Adaptive-evaluation cursor (``None`` for fixed cadence): next due
+    #: step, current interval, and the accuracy of the previous evaluation.
     eval_state: Optional[Dict[str, Any]] = None
     version: int = CHECKPOINT_VERSION
 
     def _body(self) -> Dict[str, Any]:
         """The JSON-safe payload without its checksum."""
-        return to_jsonable(
-            {
-                "version": self.version,
-                "step": self.step,
-                "master_seed": self.master_seed,
-                "sampler_name": self.sampler_name,
-                "edge_models": self.edge_models,
-                "cloud_model": self.cloud_model,
-                "last_synced_edge_models": self.last_synced_edge_models,
-                "sampler_state": self.sampler_state,
-                "history_steps": self.history_steps,
-                "history_accuracy": self.history_accuracy,
-                "history_loss": self.history_loss,
-                "participation_counts": self.participation_counts,
-                "total_participants": self.total_participants,
-                "reached_target_at": self.reached_target_at,
-                "telemetry_state": self.telemetry_state,
-                "topology_name": self.topology_name,
-                "aggregation_name": self.aggregation_name,
-                "topology_state": self.topology_state,
-                "churn_state": self.churn_state,
-                "stale_buffer": self.stale_buffer,
-                "robustness_counters": self.robustness_counters,
-                "eval_state": self.eval_state,
-            }
-        )
+        return to_jsonable({f.name: getattr(self, f.name) for f in fields(self)})
 
     def to_dict(self) -> Dict[str, Any]:
         """Encode into a JSON-safe dict (arrays tagged for exactness).
@@ -186,25 +205,18 @@ class TrainerCheckpoint:
         when ``payload_sha256`` is absent or does not match, or when a
         tagged array is malformed.
         """
-        required = {
-            "version",
-            "step",
-            "master_seed",
-            "sampler_name",
-            "edge_models",
-            "cloud_model",
-            "last_synced_edge_models",
-            "sampler_state",
-        }
-        missing = required - set(payload)
-        if missing:
-            raise ValueError(f"checkpoint missing keys: {sorted(missing)}")
-        version = payload["version"]
+        required = {"version", "step", "identity", "edge_models", "cloud_model",
+                    "last_synced_edge_models", "sampler_state"}
+        # The version first: an older layout lacks some current keys.
+        version = payload.get("version", CHECKPOINT_VERSION)
         if version != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {version} "
                 f"(expected {CHECKPOINT_VERSION})"
             )
+        missing = required - set(payload)
+        if missing:
+            raise ValueError(f"checkpoint missing keys: {sorted(missing)}")
         stored_checksum = payload.get("payload_sha256")
         if stored_checksum is None:
             raise CheckpointIntegrityError(
@@ -218,6 +230,10 @@ class TrainerCheckpoint:
                 f"{actual[:12]}…) — the file was corrupted after it "
                 "was written"
             )
+        if not isinstance(payload["identity"], dict):
+            raise CheckpointIntegrityError(
+                "checkpoint identity is not a JSON object"
+            )
         try:
             decoded = from_jsonable(payload)
         except ArrayDecodeError as exc:
@@ -226,8 +242,7 @@ class TrainerCheckpoint:
             ) from None
         return cls(
             step=int(decoded["step"]),
-            master_seed=int(decoded["master_seed"]),
-            sampler_name=str(decoded["sampler_name"]),
+            identity=payload["identity"],  # compared as JSON values
             # Arrays pass through unconverted: the trainer's restore
             # checks their dtypes and shapes against its own models.
             edge_models=list(decoded["edge_models"]),
@@ -241,14 +256,10 @@ class TrainerCheckpoint:
             total_participants=int(decoded.get("total_participants", 0)),
             reached_target_at=decoded.get("reached_target_at"),
             telemetry_state=decoded.get("telemetry_state"),
-            topology_name=str(decoded.get("topology_name", "hierarchical")),
-            aggregation_name=str(decoded.get("aggregation_name", "ipw")),
             topology_state=dict(decoded.get("topology_state") or {}),
             churn_state=decoded.get("churn_state"),
             stale_buffer=list(decoded.get("stale_buffer") or []),
             robustness_counters=dict(decoded.get("robustness_counters") or {}),
-            # Pre-adaptive-cadence checkpoints carry no eval cursor; the
-            # trainer re-derives one from the restored history.
             eval_state=decoded.get("eval_state"),
             version=CHECKPOINT_VERSION,
         )

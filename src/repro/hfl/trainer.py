@@ -52,10 +52,11 @@ streams — bit-identical histories, on every executor backend.
 
 from __future__ import annotations
 
+import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -65,7 +66,9 @@ from repro.faults import (
     CheckpointMismatchError,
     FaultModel,
     TrainerCheckpoint,
+    check_identity,
     make_fault_model,
+    run_identity,
 )
 from repro.hfl.cloud import Cloud
 from repro.hfl.config import HFLConfig
@@ -140,18 +143,7 @@ class StepOutcome:
     seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "step": self.step,
-            "steps_run": self.steps_run,
-            "participants": self.participants,
-            "synced": self.synced,
-            "evaluated": self.evaluated,
-            "accuracy": self.accuracy,
-            "loss": self.loss,
-            "reached_target": self.reached_target,
-            "stop": self.stop,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -225,6 +217,11 @@ class HFLTrainer:
     state or a ``state_dict`` (apart from the telemetry recorder's own
     checkpointed stream), so an obs-enabled run is bit-identical to an
     obs-disabled one on every executor backend and under kill/resume.
+
+    ``scenario`` is the ``ScenarioConfig`` the trainer was built from
+    (:func:`repro.experiments.runner.build_trainer` passes it); it names
+    the run in its checkpoints' identity record.  A trainer built
+    without one derives the record from ``config``.
     """
 
     def __init__(
@@ -240,6 +237,7 @@ class HFLTrainer:
         fault_model: Optional[FaultModel] = None,
         churn: Optional[ChurnProcess] = None,
         obs=None,
+        scenario=None,
     ) -> None:
         if len(device_datasets) != trace.num_devices:
             raise ValueError(
@@ -253,6 +251,8 @@ class HFLTrainer:
         self.sampler = sampler
         self.test_dataset = test_dataset
         self.telemetry = telemetry
+        self._scenario = scenario
+        self._identity: Optional[Dict[str, Any]] = None
 
         self._seeds = SeedSequenceFactory(config.seed)
         # One shared scratch network; all model state moves as flat vectors.
@@ -764,14 +764,27 @@ class HFLTrainer:
 
     # -- checkpointing -------------------------------------------------------
 
+    @property
+    def identity(self) -> Dict[str, Any]:
+        """The run's :func:`repro.faults.run_identity` record, built (and
+        the data hashed) at the first checkpoint or restore."""
+        if self._identity is None:
+            digest = hashlib.sha256()
+            for dataset in [*(d.dataset for d in self.devices), self.test_dataset]:
+                digest.update(dataset.fingerprint.encode())
+            self._identity = run_identity(
+                self._scenario if self._scenario is not None else self.config,
+                self.sampler.name,
+                digest.hexdigest(),
+                len(self.edges),
+            )
+        return self._identity
+
     def make_checkpoint(self, steps_completed: int) -> TrainerCheckpoint:
         """Snapshot the full mutable run state after ``steps_completed``."""
         return TrainerCheckpoint(
             step=steps_completed,
-            master_seed=self.config.seed,
-            sampler_name=self.sampler.name,
-            topology_name=self.topology.name,
-            aggregation_name=self.aggregation_strategy.name,
+            identity=self.identity,
             topology_state=self.topology.state_dict(),
             edge_models=[edge.model.copy() for edge in self.edges],
             cloud_model=self.cloud.model.copy(),
@@ -832,54 +845,13 @@ class HFLTrainer:
         """
         if not isinstance(checkpoint, TrainerCheckpoint):
             checkpoint = TrainerCheckpoint.load(checkpoint)
-        if checkpoint.master_seed != self.config.seed:
-            raise CheckpointMismatchError(
-                "seed",
-                f"checkpoint was written with seed {checkpoint.master_seed}, "
-                f"trainer has seed {self.config.seed}"
-            )
-        if checkpoint.sampler_name != self.sampler.name:
-            raise CheckpointMismatchError(
-                "sampler",
-                f"checkpoint was written with sampler "
-                f"{checkpoint.sampler_name!r}, trainer has {self.sampler.name!r}"
-            )
-        if checkpoint.topology_name != self.topology.name:
-            raise CheckpointMismatchError(
-                "topology",
-                f"checkpoint was written with topology "
-                f"{checkpoint.topology_name!r}, trainer has "
-                f"{self.topology.name!r}"
-            )
-        if checkpoint.aggregation_name != self.aggregation_strategy.name:
-            raise CheckpointMismatchError(
-                "aggregation_strategy",
-                f"checkpoint was written with aggregation strategy "
-                f"{checkpoint.aggregation_name!r}, trainer has "
-                f"{self.aggregation_strategy.name!r}"
-            )
-        if len(checkpoint.edge_models) != len(self.edges):
-            raise CheckpointMismatchError(
-                "num_edges",
-                f"checkpoint has {len(checkpoint.edge_models)} edges, "
-                f"trainer has {len(self.edges)}"
-            )
-        if (checkpoint.churn_state is not None) != (self.churn is not None):
-            raise CheckpointMismatchError(
-                "churn_profile",
-                "checkpoint churn state does not match the trainer: "
-                f"checkpoint {'has' if checkpoint.churn_state else 'lacks'} "
-                "a churn process, the trainer "
-                f"{'has' if self.churn is not None else 'lacks'} one"
-            )
-        try:
-            self.topology.load_state_dict(checkpoint.topology_state)
-        except ValueError as error:
-            raise CheckpointMismatchError("topology", str(error)) from error
-        if len(checkpoint.last_synced_edge_models) != len(self.edges):
+        check_identity(checkpoint.identity, self.identity)
+        self.topology.load_state_dict(checkpoint.topology_state)
+        counts = (len(checkpoint.edge_models), len(checkpoint.last_synced_edge_models))
+        if counts != (len(self.edges),) * 2:
             raise ValueError(
-                f"checkpoint has {len(checkpoint.last_synced_edge_models)} "
-                f"last-synced edge models, trainer has {len(self.edges)} edges"
+                f"checkpoint has {counts[0]} edge and {counts[1]} last-synced "
+                f"edge models, trainer has {len(self.edges)} edges"
             )
         model_shape = self.cloud.model.shape
         if np.shape(checkpoint.cloud_model) != model_shape:
@@ -887,12 +859,6 @@ class HFLTrainer:
                 "model",
                 f"checkpoint has a model of shape "
                 f"{np.shape(checkpoint.cloud_model)}, trainer has {model_shape}",
-            )
-        if np.shape(checkpoint.participation_counts) != (self.trace.num_devices,):
-            raise CheckpointMismatchError(
-                "num_devices",
-                f"checkpoint counts {np.size(checkpoint.participation_counts)} "
-                f"devices, trainer has {self.trace.num_devices}",
             )
         for edge, model in zip(self.edges, checkpoint.edge_models):
             edge.set_model(check_state_array("edge model", model, float, model_shape))
@@ -944,20 +910,11 @@ class HFLTrainer:
         self._late_drops = int(counters.get("late_drops", 0))
         self._devices_joined = int(counters.get("devices_joined", 0))
         self._devices_left = int(counters.get("devices_left", 0))
-        if checkpoint.eval_state is not None:
+        if checkpoint.eval_state is not None:  # an adaptive-cadence run
             self._next_eval = int(checkpoint.eval_state["next_eval"])
             self._eval_interval_now = int(checkpoint.eval_state["interval"])
             last = checkpoint.eval_state.get("last_accuracy")
             self._last_eval_accuracy = None if last is None else float(last)
-        else:
-            # Pre-cursor checkpoint (or fixed-cadence run): restart the
-            # adaptive schedule at the base interval from the resume
-            # step, seeded with the last recorded accuracy.
-            self._eval_interval_now = self.config.effective_eval_interval
-            self._next_eval = checkpoint.step + self._eval_interval_now
-            self._last_eval_accuracy = (
-                self._history.accuracy[-1] if self._history.accuracy else None
-            )
         self._steps_run = checkpoint.step
         return checkpoint.step
 

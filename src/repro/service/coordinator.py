@@ -18,7 +18,9 @@ restarted over the same ``state_dir`` recovers crashed runs with
 the trainer, :meth:`TrainerCheckpoint.load_with_fallback` picks the
 newest intact snapshot, and the named per-``(step, edge, device)`` seed
 streams replay the remaining steps exactly — a kill −9 mid-round loses
-wall-clock, never results.
+wall-clock, never results.  The manifest carries the same identity
+record as the checkpoints, and a checkpoint whose record disagrees with
+it is not resumed.
 
 The coordinator itself is transport-agnostic: in-process callers use it
 directly (or through :mod:`repro.api`), and :mod:`repro.service.http`
@@ -29,24 +31,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 import queue
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.data.synthetic import example_size
-from repro.experiments.config import (
-    DEFAULT_SAMPLER,
-    ScenarioConfig,
-    check_sampler,
-    make_sampler,
-)
-from repro.experiments.runner import build_scenario, hfl_config_for
-from repro.faults import TrainerCheckpoint
-from repro.hfl.trainer import HFLTrainer, TrainingResult
+from repro.experiments.config import DEFAULT_SAMPLER, ScenarioConfig, check_sampler
+from repro.experiments.runner import build_trainer
+from repro.faults import TrainerCheckpoint, check_identity
+from repro.hfl.trainer import TrainingResult
 from repro.obs.health import HealthMonitor, HealthReport, default_rules
 from repro.obs.metrics import MetricsRegistry
 from repro.service.types import (
@@ -116,7 +112,6 @@ class _RunRecord:
     #: rebuild (it is registered straight into ``failed``).
     config: Optional[ScenarioConfig]
     sampler: str
-    seed: int
     stop_at_target: bool = False
     preset: Optional[str] = None
     state: str = "queued"
@@ -126,6 +121,9 @@ class _RunRecord:
     error: Optional[str] = None
     resume_from: Optional[TrainerCheckpoint] = None
     resumed_from_step: Optional[int] = None
+    #: The run's identity record, once its trainer is built (durable
+    #: runs only): what its checkpoints must carry to be resumed.
+    identity: Optional[Dict[str, Any]] = None
     rounds: List[RoundStatus] = field(default_factory=list)
     result: Optional[TrainingResult] = None
     #: Set = running; cleared = paused.  The dispatcher waits on it
@@ -142,7 +140,7 @@ class _RunRecord:
             run_id=self.run_id,
             state=self.state,
             sampler=self.sampler,
-            seed=self.seed,
+            seed=None if self.config is None else self.config.seed,
             num_steps=0 if self.config is None else self.config.num_steps,
             steps_run=self.steps_run,
             preset=self.preset,
@@ -222,16 +220,12 @@ class Coordinator:
         :class:`QueueFullError` and registers nothing; runs that
         :meth:`recover` resubmits are exempt, as they were accepted
         before the crash.  A scenario past a ``MAX_RUN_*`` bound raises
-        ``ValueError``.
+        ``ValueError``.  ``seed`` replaces the scenario's.
         """
         check_sampler(sampler)
+        if seed is not None:
+            config = config.with_overrides(seed=seed)
         _check_run_size(config)
-        if seed is not None and (
-            isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-        ):
-            raise ValueError(f"seed must be int, got {seed!r}")
-        if seed is not None and seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
         with self._lock:
             if self._closed:
                 raise RuntimeError("coordinator is shut down")
@@ -250,7 +244,6 @@ class Coordinator:
                 run_id=run_id,
                 config=config,
                 sampler=sampler,
-                seed=config.seed if seed is None else seed,
                 stop_at_target=stop_at_target,
                 preset=preset,
                 resume_from=_resume_from,
@@ -417,8 +410,9 @@ class Coordinator:
         a run that died before its first checkpoint restarts from step
         0 — either way the replayed history is bit-identical to an
         uninterrupted run.  A run whose manifest, config or checkpoint
-        fails to load is registered as ``failed`` with the error in its
-        manifest, its files left in place; the other runs still
+        fails to load, or whose checkpoint's identity record differs
+        from its manifest's, is registered as ``failed`` with the error
+        in its manifest, its files left in place; the other runs still
         recover.  Returns the recovered run ids.
         """
         if self.state_dir is None:
@@ -445,13 +439,14 @@ class Coordinator:
                     checkpoint, _used = TrainerCheckpoint.load_with_fallback(
                         checkpoint_path
                     )
+                    if manifest.get("identity") is not None:
+                        check_identity(checkpoint.identity, manifest["identity"])
                 self._trim_round_log(
                     run_dir, 0 if checkpoint is None else checkpoint.step
                 )
                 self.submit(
                     config,
                     sampler=manifest["sampler"],
-                    seed=manifest["seed"],
                     stop_at_target=manifest.get("stop_at_target", False),
                     preset=manifest.get("preset"),
                     run_id=run_dir.name,
@@ -474,12 +469,10 @@ class Coordinator:
         ``error`` change.
         """
         fields = dict(manifest) if isinstance(manifest, dict) else {}
-        seed = fields.get("seed")
         record = _RunRecord(
             run_id=run_dir.name,
             config=None,
             sampler=str(fields.get("sampler", "")),
-            seed=seed if isinstance(seed, int) else 0,
             state="failed",
             error=f"{type(error).__name__}: {error}",
         )
@@ -540,7 +533,7 @@ class Coordinator:
             "run_id": record.run_id,
             "config": record.config.to_dict(),
             "sampler": record.sampler,
-            "seed": record.seed,
+            "identity": record.identity,
             "stop_at_target": record.stop_at_target,
             "preset": record.preset,
             "state": record.state,
@@ -552,32 +545,20 @@ class Coordinator:
     def _execute_run(self, record: _RunRecord) -> None:
         config = record.config
         run_dir = self._run_dir(record.run_id)
-        devices, test, trace, model_factory = build_scenario(
-            config, record.seed
-        )
-        hfl_config = hfl_config_for(config, record.seed)
         if run_dir is not None and self.checkpoint_every is not None:
-            from dataclasses import replace as dc_replace
-
-            hfl_config = dc_replace(
-                hfl_config,
+            config = config.with_overrides(
                 checkpoint_every=self.checkpoint_every,
                 checkpoint_path=str(run_dir / "checkpoint.json"),
             )
         from repro.obs import Observability
 
         obs = Observability(metrics=self.metrics, health=self.health_monitor)
-        trainer = HFLTrainer(
-            model_factory=model_factory,
-            device_datasets=devices,
-            trace=trace,
-            sampler=make_sampler(record.sampler, config),
-            config=hfl_config,
-            test_dataset=test,
-            obs=obs,
-        )
+        trainer = build_trainer(config, record.sampler, obs=obs)
         log_handle = None
         if run_dir is not None:
+            with self._lock:
+                record.identity = trainer.identity
+                self._write_manifest(record)
             mode = "a" if record.resume_from is not None else "w"
             log_handle = open(run_dir / "metrics.jsonl", mode)
         try:

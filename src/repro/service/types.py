@@ -10,7 +10,7 @@ on one vocabulary without import cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 #: Lifecycle states a submitted run moves through.  Terminal states are
@@ -49,18 +49,7 @@ class RoundStatus:
     seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "run_id": self.run_id,
-            "step": self.step,
-            "steps_run": self.steps_run,
-            "participants": self.participants,
-            "synced": self.synced,
-            "evaluated": self.evaluated,
-            "accuracy": self.accuracy,
-            "loss": self.loss,
-            "reached_target": self.reached_target,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RoundStatus":
@@ -87,7 +76,8 @@ class RunStatus:
     run_id: str
     state: str
     sampler: str
-    seed: int
+    #: ``None`` only for a run whose scenario did not load.
+    seed: Optional[int]
     num_steps: int
     steps_run: int = 0
     preset: Optional[str] = None
@@ -101,19 +91,7 @@ class RunStatus:
         return self.state in TERMINAL_STATES
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "run_id": self.run_id,
-            "state": self.state,
-            "sampler": self.sampler,
-            "seed": self.seed,
-            "num_steps": self.num_steps,
-            "steps_run": self.steps_run,
-            "preset": self.preset,
-            "final_accuracy": self.final_accuracy,
-            "reached_target_at": self.reached_target_at,
-            "error": self.error,
-            "resumed_from_step": self.resumed_from_step,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunStatus":
@@ -121,7 +99,7 @@ class RunStatus:
             run_id=str(data["run_id"]),
             state=str(data["state"]),
             sampler=str(data["sampler"]),
-            seed=int(data["seed"]),
+            seed=None if data.get("seed") is None else int(data["seed"]),
             num_steps=int(data["num_steps"]),
             steps_run=int(data.get("steps_run", 0)),
             preset=(
@@ -171,21 +149,7 @@ class RunResultSummary:
     history: Dict[str, List[float]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "run_id": self.run_id,
-            "sampler": self.sampler,
-            "steps_run": self.steps_run,
-            "final_accuracy": self.final_accuracy,
-            "best_accuracy": self.best_accuracy,
-            "reached_target_at": self.reached_target_at,
-            "mean_participants_per_step": self.mean_participants_per_step,
-            "late_admits": self.late_admits,
-            "late_drops": self.late_drops,
-            "devices_joined": self.devices_joined,
-            "devices_left": self.devices_left,
-            "cloud_model_sha256": self.cloud_model_sha256,
-            "history": dict(self.history),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunResultSummary":

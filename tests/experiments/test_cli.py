@@ -7,6 +7,10 @@ or a choice list, without failing here.
 """
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +51,6 @@ RUN_SURFACE = {
     "--staleness-discount": (None, None, float, "D"),
     "--checkpoint-every": (None, None, int, "K"),
     "--checkpoint-path": (None, None, None, "PATH"),
-    "--resume": (None, None, None, "PATH"),
     "--log-jsonl": (None, None, None, "PATH"),
     "--trace-out": (None, None, None, "PATH"),
     "--metrics-out": (None, None, None, "PATH"),
@@ -198,6 +201,73 @@ def test_resume_mismatch_is_one_line_naming_the_flag(
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert err.rstrip().endswith(f"check {flag}")
+
+
+def spy_results(monkeypatch):
+    """The results of every ``run_scenario`` call the CLI makes, in order."""
+    results = []
+    original = api.run_scenario
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(api, "run_scenario", spy)
+    return results
+
+
+#: A scenario far from its preset: faults, churn, low participation, a
+#: seed and a horizon of its own.
+NON_DEFAULT_RUN = ["--preset", "blobs-bench", "--fault-profile", "moderate",
+                   "--churn", "light", "--participation", "0.3", "--seed", "3",
+                   "--steps", "12", "--quiet"]
+
+
+def test_resume_needs_only_the_checkpoint(tmp_path, monkeypatch):
+    """``resume CKPT`` with no flags continues the checkpoint's own run,
+    scenario and sampler included, and ends where the run without a
+    kill ends."""
+    path = tmp_path / "c.json"
+    results = spy_results(monkeypatch)
+    assert runner.main(["run", *NON_DEFAULT_RUN, "--sampler", "uniform",
+                        "--checkpoint-every", "5",
+                        "--checkpoint-path", str(path)]) == 0
+    assert runner.main(["resume", str(path), "--quiet"]) == 0
+    uninterrupted, resumed = results
+    assert resumed.steps_run == 12
+    assert resumed.sampler_name == "uniform"
+    np.testing.assert_array_equal(
+        resumed.final_cloud_model, uninterrupted.final_cloud_model
+    )
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--participation", "0.9"),
+    ("--steps", "20"),
+])
+def test_resume_refuses_another_scenario(seed3_checkpoint, capsys, flag, value):
+    """Without ``--preset`` a flag applies over the checkpoint's scenario,
+    and one that contradicts it exits 2 naming the flag."""
+    capsys.readouterr()
+    code = runner.main(["resume", str(seed3_checkpoint), flag, value, "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.rstrip().endswith(f"check {flag}")
+
+
+def test_module_cli_imports_the_runner_once():
+    """``python -m repro.experiments.runner`` runs without runpy's
+    warning that the package had already imported the module."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.experiments.runner", "run", "--steps", "2", "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""
 
 
 @pytest.mark.parametrize("flags", [

@@ -15,6 +15,7 @@ from repro.core.mach import MACHSampler
 from repro.faults import (
     CHECKPOINT_VERSION,
     CheckpointIntegrityError,
+    CheckpointMismatchError,
     TrainerCheckpoint,
 )
 from repro.faults.checkpoint import _payload_checksum
@@ -30,8 +31,7 @@ from tests.state_equal import assert_state_equal
 
 def assert_checkpoints_equal(a: TrainerCheckpoint, b: TrainerCheckpoint):
     assert a.step == b.step
-    assert a.master_seed == b.master_seed
-    assert a.sampler_name == b.sampler_name
+    assert a.identity == b.identity
     assert len(a.edge_models) == len(b.edge_models)
     for x, y in zip(a.edge_models, b.edge_models):
         np.testing.assert_array_equal(x, y)
@@ -134,12 +134,11 @@ class TestCheckpointRoundTrip:
                                 gossip_degree=2)
         trainer.run(num_steps=6)
         checkpoint = trainer.make_checkpoint(6)
-        assert checkpoint.topology_name == "gossip"
-        assert checkpoint.aggregation_name == "gossip_avg"
+        assert checkpoint.identity["topology"] == "gossip"
+        assert checkpoint.identity["aggregation_strategy"] == "gossip_avg"
         assert checkpoint.topology_state["degree"] == 2
         rebuilt = TrainerCheckpoint.from_dict(checkpoint.to_dict())
-        assert rebuilt.topology_name == checkpoint.topology_name
-        assert rebuilt.aggregation_name == checkpoint.aggregation_name
+        assert rebuilt.identity == checkpoint.identity
         assert rebuilt.topology_state == checkpoint.topology_state
 
     @pytest.mark.parametrize("version", [1, 2])
@@ -173,6 +172,26 @@ class TestCheckpointRoundTrip:
             ) as excinfo:
                 load(path)
             assert not isinstance(excinfo.value, CheckpointIntegrityError)
+
+    def test_v4_checkpoint_rejected(self):
+        """A v4 payload (seed, sampler, topology and aggregation fields
+        where v5 has the identity record) with a valid checksum fails by
+        its version, as v3 does, not by its missing record."""
+        payload = build_trainer(UniformSampler()).make_checkpoint(0).to_dict()
+        identity = payload.pop("identity")
+        payload.update(
+            version=4,
+            master_seed=identity["seed"],
+            sampler_name=identity["sampler"],
+            topology_name=identity["topology"],
+            aggregation_name=identity["aggregation_strategy"],
+        )
+        payload["payload_sha256"] = _payload_checksum(payload)
+        with pytest.raises(
+            ValueError, match="unsupported checkpoint version 4"
+        ) as excinfo:
+            TrainerCheckpoint.from_dict(payload)
+        assert not isinstance(excinfo.value, CheckpointIntegrityError)
 
     def test_save_writes_the_canonical_text_once(self, tmp_path):
         """The file is the canonical JSON its checksum covers, with the
@@ -312,6 +331,16 @@ class TestRestoreValidation:
         target = build_trainer(UniformSampler(), num_edges=2)
         with pytest.raises(ValueError, match="edges"):
             target.restore_checkpoint(checkpoint)
+
+    def test_rejects_other_data_of_the_same_shape(self):
+        """Same configuration, same shapes, other samples: the data
+        fingerprint in the identity record refuses the resume."""
+        checkpoint = build_trainer(UniformSampler()).make_checkpoint(0)
+        target = build_trainer(UniformSampler(), data_seed=1)
+        assert target.cloud.model.shape == checkpoint.cloud_model.shape
+        with pytest.raises(CheckpointMismatchError) as excinfo:
+            target.restore_checkpoint(checkpoint)
+        assert excinfo.value.field == "data"
 
     def test_rejects_exhausted_checkpoint(self, tmp_path):
         path = str(tmp_path / "ckpt.json")

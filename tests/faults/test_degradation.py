@@ -66,11 +66,11 @@ class ScriptedFaultModel(FaultModel):
 
 
 def build_trainer(sampler, seed=0, num_devices=10, num_edges=3, steps=40,
-                  telemetry=None, fault_model=None, churn=None,
+                  telemetry=None, fault_model=None, churn=None, data_seed=None,
                   **config_overrides):
     devices, test = make_federated_task(
         "blobs", num_devices=num_devices, samples_per_device=30,
-        test_samples=120, rng=seed,
+        test_samples=120, rng=seed if data_seed is None else data_seed,
     )
     trace = MarkovMobilityModel.stay_or_jump(num_edges, 0.8, rng=seed).sample_trace(
         steps, num_devices, rng=seed + 1

@@ -16,7 +16,6 @@ from tests.golden.cells import (
     CELLS,
     MIN_CNN_STACK,
     fingerprint,
-    fingerprint_isolated,
     load_fingerprints,
 )
 
@@ -75,7 +74,6 @@ def assert_matches_fingerprint(name: str, expected: Optional[dict] = None) -> No
     assert name in RECORDED["cells"], f"cell {name} was never recorded"
     if expected is None:
         expected = RECORDED["cells"][name]
-    run = fingerprint_isolated if CELLS[name].needs_hash_seed else fingerprint
-    assert run(name) == expected
+    assert fingerprint(name) == expected
     if CELLS[name].min_stack:
         assert min(expected["per_round"]) >= MIN_CNN_STACK

@@ -20,6 +20,7 @@ from repro.runtime import EXECUTOR_KINDS, work_items
 from repro.utils.rng import as_generator
 
 from tests.hfl.test_hotpath import histories_identical, tiny_config
+from tests.kill import kill_after_checkpoint
 
 
 def unfused_local_update(
@@ -126,12 +127,8 @@ class TestKillResumeEquality:
         config = tiny_config(num_steps=6)
         full = run_single(config, "mach")
 
-        # Kill on an eval boundary so the truncated run's history is a
-        # prefix of the full run's.
-        killed_config = tiny_config(
-            num_steps=5, checkpoint_every=5, checkpoint_path=path
-        )
-        run_single(killed_config, "mach")
+        # Kill on an eval boundary.
+        kill_after_checkpoint(config, "mach", 5, path)
         resumed = run_single(config, "mach", resume_from=path)
 
         assert histories_identical(full, resumed)

@@ -26,6 +26,7 @@ from repro.data.synthetic import make_blobs_dataset
 from repro.nn.architectures import build_mlp, build_model
 
 from tests.faults.test_degradation import build_trainer
+from tests.kill import kill_after_checkpoint
 
 
 def per_device_only():
@@ -137,8 +138,8 @@ class TestCNNExecutorParity:
     def test_stacked_cnn_kill_resume_replays_exactly(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
         straight, _ = run_cnn(checkpoint_every=5, checkpoint_path=path)
-        run_cnn(num_steps=5, checkpoint_every=5, checkpoint_path=path)
         config = PRESETS["mnist-bench"].with_overrides(**CNN_SCENARIO)
+        kill_after_checkpoint(config, "mach", 5, path)
         resumed = run_single(config, "mach", resume_from=path)
         self.assert_same(resumed, straight)
 

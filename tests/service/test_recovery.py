@@ -94,6 +94,19 @@ def crashed_state_dir(tmp_path, wait_for=".prev"):
     return state
 
 
+def interrupted_run(state, steps=12):
+    """A durable run that checkpointed at steps 5 and 10, with its
+    manifest set back to ``running``: what a crash after its last
+    checkpoint leaves for :meth:`Coordinator.recover`."""
+    with Coordinator(state_dir=state, checkpoint_every=5) as coordinator:
+        run_id = coordinator.submit(tiny_scenario(num_steps=steps), sampler="mach")
+        coordinator.result(run_id, timeout=120.0)
+    run_dir = state / "runs" / run_id
+    manifest = json.loads((run_dir / "run.json").read_text())
+    (run_dir / "run.json").write_text(json.dumps(dict(manifest, state="running")))
+    return run_dir
+
+
 def reference_sha():
     result = run_single(tiny_scenario(num_steps=CRASH_STEPS), "mach")
     return (
@@ -242,3 +255,43 @@ class TestLegacyCheckpoint:
             assert "unsupported checkpoint version 3" in status.error
         assert json.loads((run_dir / "run.json").read_text())["state"] == "failed"
         assert (run_dir / "checkpoint.json").is_file()
+
+
+class TestIdentityMismatch:
+    """A checkpoint resumes only the run its manifest describes."""
+
+    @staticmethod
+    def edit_manifest(run_dir, **changes):
+        manifest = json.loads((run_dir / "run.json").read_text())
+        manifest["config"].update(changes)
+        if manifest.get("identity") is not None:
+            manifest["identity"].update(changes)
+        (run_dir / "run.json").write_text(json.dumps(manifest))
+
+    def test_manifest_of_another_scenario_marks_the_run_failed(self, tmp_path):
+        state = tmp_path / "state"
+        run_dir = interrupted_run(state)
+        self.edit_manifest(run_dir, participation_fraction=0.9)
+        with Coordinator(state_dir=state, checkpoint_every=5) as coordinator:
+            assert coordinator.recover() == []
+            status = coordinator.status(run_dir.name)
+        assert status.state == "failed"
+        assert status.error.startswith("CheckpointMismatchError: ")
+        assert "participation_fraction" in status.error
+        assert json.loads((run_dir / "run.json").read_text())["state"] == "failed"
+
+    def test_edited_scenario_fails_its_restore(self, tmp_path):
+        """Only the manifest's scenario changed, not its identity record:
+        the rebuilt trainer's own record disagrees with the checkpoint."""
+        state = tmp_path / "state"
+        run_dir = interrupted_run(state)
+        manifest = json.loads((run_dir / "run.json").read_text())
+        manifest["config"]["seed"] = 6
+        (run_dir / "run.json").write_text(json.dumps(manifest))
+        with Coordinator(state_dir=state, checkpoint_every=5) as coordinator:
+            assert coordinator.recover() == [run_dir.name]
+            with pytest.raises(RuntimeError, match="CheckpointMismatchError"):
+                coordinator.result(run_dir.name, timeout=120.0)
+            status = coordinator.status(run_dir.name)
+        assert status.state == "failed"
+        assert "seed=5" in status.error and "seed=6" in status.error

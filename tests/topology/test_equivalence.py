@@ -18,6 +18,7 @@ from repro.experiments.runner import run_single
 from repro.faults import TrainerCheckpoint
 from repro.topology import TOPOLOGY_KINDS
 from tests.golden.pinned import assert_matches_fingerprint, recorded_numpy_only
+from tests.kill import kill_after_checkpoint
 
 BASE = PRESETS["blobs-bench"].with_overrides(
     num_devices=16,
@@ -91,37 +92,22 @@ class TestKillResumeParity:
         config = config_for(topology)
         path = str(tmp_path / "ckpt.json")
         uninterrupted = run_single(config, "mach")
-        run_single(
-            config.with_overrides(
-                num_steps=5, checkpoint_every=5, checkpoint_path=path
-            ),
-            "mach",
-        )
+        kill_after_checkpoint(config, "mach", 5, path)
         resumed = run_single(config, "mach", resume_from=path)
         assert_identical(uninterrupted, resumed)
 
     def test_checkpoint_refuses_wrong_topology(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        run_single(
-            config_for("gossip").with_overrides(
-                num_steps=5, checkpoint_every=5, checkpoint_path=path
-            ),
-            "mach",
-        )
+        kill_after_checkpoint(config_for("gossip"), "mach", 5, path)
         checkpoint = TrainerCheckpoint.load(path)
-        assert checkpoint.topology_name == "gossip"
-        assert checkpoint.aggregation_name == "gossip_avg"
+        assert checkpoint.identity["topology"] == "gossip"
+        assert checkpoint.identity["aggregation_strategy"] == "gossip_avg"
         with pytest.raises(ValueError, match="topology"):
             run_single(config_for("clustered"), "mach", resume_from=path)
 
     def test_checkpoint_refuses_wrong_topology_parameters(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        run_single(
-            config_for("gossip").with_overrides(
-                num_steps=5, checkpoint_every=5, checkpoint_path=path
-            ),
-            "mach",
-        )
+        kill_after_checkpoint(config_for("gossip"), "mach", 5, path)
         with pytest.raises(ValueError, match="degree"):
             run_single(
                 config_for("gossip", gossip_degree=3), "mach", resume_from=path
