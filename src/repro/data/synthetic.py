@@ -19,7 +19,6 @@ and thus task difficulty — is controlled by the separation/noise ratio.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -151,11 +150,9 @@ def make_synthetic_image_dataset(
     # Prototypes are drawn from a *named* stream keyed only by the task
     # spec so every dataset of the same task shares class geometry —
     # training and test sets must agree on what "class 3" looks like.
-    # The key is a CRC of the spec's text, not ``hash``: str hashes are
-    # salted per process, and the data must not depend on the process.
     proto_rng = np.random.default_rng(
         np.random.SeedSequence(
-            entropy=zlib.crc32(repr((spec.name, spec.input_shape)).encode())
+            entropy=abs(hash((spec.name, spec.input_shape))) % (2**63)
         )
     )
     protos = _class_prototypes(spec, proto_rng)

@@ -343,14 +343,19 @@ _MISMATCH_FLAGS: Dict[str, str] = {
 }
 
 
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_run_arguments(parser: argparse.ArgumentParser, resume: bool = False) -> None:
+    """The run flags; on ``resume`` the preset and the sampler default to
+    the checkpoint's."""
     parser.add_argument(
-        "--preset", default="blobs-bench", choices=sorted(PRESETS),
-        help="scenario preset (default: blobs-bench)",
+        "--preset", default=None if resume else "blobs-bench",
+        choices=sorted(PRESETS),
+        help="scenario preset (default: "
+        + ("the checkpoint's scenario)" if resume else "blobs-bench)"),
     )
     parser.add_argument(
-        "--sampler", default="mach", choices=SAMPLER_NAMES,
-        help="device-sampling strategy (default: mach)",
+        "--sampler", default=None if resume else "mach", choices=SAMPLER_NAMES,
+        help="device-sampling strategy (default: "
+        + ("the checkpoint's)" if resume else "mach)"),
     )
     _add_scenario_arguments(parser)
     parser.add_argument("--stop-at-target", action="store_true",
@@ -559,8 +564,12 @@ def _resume_command(args) -> int:
         checkpoint, used = TrainerCheckpoint.load_with_fallback(args.checkpoint)
         identity = checkpoint.identity
         given = _scenario_overrides(args)
-        claimed = {k: v for k, v in given.items() if k not in RESUMABLE_FIELDS}
         sampler = args.sampler or identity.get("sampler")
+        # Checked before the scenario is built, not left to the restore:
+        # the record holds the resolved aggregation strategy, so a changed
+        # --topology would first fail as an invalid topology/aggregation
+        # pair, without naming the flag.
+        claimed = {k: v for k, v in given.items() if k not in RESUMABLE_FIELDS}
         check_identity(identity, {**identity, **claimed, "sampler": sampler})
         recorded = {k: v for k, v in identity.items() if k in FIELD_TYPES}
         base = ScenarioConfig()
@@ -639,7 +648,7 @@ def _execute(args, config, sampler, resume_from=None, warning=None) -> int:
         config.topology, config.aggregation_strategy
     )
     echo(
-        f"preset={args.preset} sampler={result.sampler_name} "
+        f"preset={args.preset or 'checkpoint'} sampler={result.sampler_name} "
         f"topology={config.topology} aggregation={effective_aggregation} "
         f"executor={config.executor} workers={config.num_workers or 'auto'}"
     )
@@ -782,7 +791,7 @@ def _resume_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "checkpoint", help="checkpoint file written by a prior run"
     )
-    _add_run_arguments(parser)
+    _add_run_arguments(parser, resume=True)
     return parser
 
 
@@ -803,11 +812,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("command", choices=SUBCOMMANDS)
     command = parser.parse_args(argv[:1]).command
     make_parser, handler = _COMMANDS[command]
-    parser = make_parser()
-    if command == "resume":
-        # Unless given, the preset and the sampler are the checkpoint's.
-        parser.set_defaults(preset=None, sampler=None)
-    return handler(parser.parse_args(argv[1:]))
+    return handler(make_parser().parse_args(argv[1:]))
 
 
 if __name__ == "__main__":  # pragma: no cover

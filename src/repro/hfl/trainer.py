@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
@@ -143,7 +143,18 @@ class StepOutcome:
     seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        return {
+            "step": self.step,
+            "steps_run": self.steps_run,
+            "participants": self.participants,
+            "synced": self.synced,
+            "evaluated": self.evaluated,
+            "accuracy": self.accuracy,
+            "loss": self.loss,
+            "reached_target": self.reached_target,
+            "stop": self.stop,
+            "seconds": self.seconds,
+        }
 
 
 @dataclass

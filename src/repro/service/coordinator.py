@@ -18,9 +18,7 @@ restarted over the same ``state_dir`` recovers crashed runs with
 the trainer, :meth:`TrainerCheckpoint.load_with_fallback` picks the
 newest intact snapshot, and the named per-``(step, edge, device)`` seed
 streams replay the remaining steps exactly — a kill −9 mid-round loses
-wall-clock, never results.  The manifest carries the same identity
-record as the checkpoints, and a checkpoint whose record disagrees with
-it is not resumed.
+wall-clock, never results.
 
 The coordinator itself is transport-agnostic: in-process callers use it
 directly (or through :mod:`repro.api`), and :mod:`repro.service.http`
@@ -36,12 +34,12 @@ import queue
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.data.synthetic import example_size
 from repro.experiments.config import DEFAULT_SAMPLER, ScenarioConfig, check_sampler
 from repro.experiments.runner import build_trainer
-from repro.faults import TrainerCheckpoint, check_identity
+from repro.faults import TrainerCheckpoint
 from repro.hfl.trainer import TrainingResult
 from repro.obs.health import HealthMonitor, HealthReport, default_rules
 from repro.obs.metrics import MetricsRegistry
@@ -121,9 +119,6 @@ class _RunRecord:
     error: Optional[str] = None
     resume_from: Optional[TrainerCheckpoint] = None
     resumed_from_step: Optional[int] = None
-    #: The run's identity record, once its trainer is built (durable
-    #: runs only): what its checkpoints must carry to be resumed.
-    identity: Optional[Dict[str, Any]] = None
     rounds: List[RoundStatus] = field(default_factory=list)
     result: Optional[TrainingResult] = None
     #: Set = running; cleared = paused.  The dispatcher waits on it
@@ -410,10 +405,10 @@ class Coordinator:
         a run that died before its first checkpoint restarts from step
         0 — either way the replayed history is bit-identical to an
         uninterrupted run.  A run whose manifest, config or checkpoint
-        fails to load, or whose checkpoint's identity record differs
-        from its manifest's, is registered as ``failed`` with the error
-        in its manifest, its files left in place; the other runs still
-        recover.  Returns the recovered run ids.
+        fails to load is registered as ``failed`` with the error in its
+        manifest, its files left in place; the other runs still
+        recover.  A checkpoint of another scenario fails its run at the
+        trainer's restore.  Returns the recovered run ids.
         """
         if self.state_dir is None:
             return []
@@ -439,8 +434,6 @@ class Coordinator:
                     checkpoint, _used = TrainerCheckpoint.load_with_fallback(
                         checkpoint_path
                     )
-                    if manifest.get("identity") is not None:
-                        check_identity(checkpoint.identity, manifest["identity"])
                 self._trim_round_log(
                     run_dir, 0 if checkpoint is None else checkpoint.step
                 )
@@ -533,7 +526,6 @@ class Coordinator:
             "run_id": record.run_id,
             "config": record.config.to_dict(),
             "sampler": record.sampler,
-            "identity": record.identity,
             "stop_at_target": record.stop_at_target,
             "preset": record.preset,
             "state": record.state,
@@ -555,13 +547,10 @@ class Coordinator:
         obs = Observability(metrics=self.metrics, health=self.health_monitor)
         trainer = build_trainer(config, record.sampler, obs=obs)
         log_handle = None
-        if run_dir is not None:
-            with self._lock:
-                record.identity = trainer.identity
-                self._write_manifest(record)
-            mode = "a" if record.resume_from is not None else "w"
-            log_handle = open(run_dir / "metrics.jsonl", mode)
         try:
+            if run_dir is not None:
+                mode = "a" if record.resume_from is not None else "w"
+                log_handle = open(run_dir / "metrics.jsonl", mode)
             stepper = trainer.steps(
                 config.num_steps,
                 target_accuracy=config.target_accuracy,

@@ -10,7 +10,7 @@ on one vocabulary without import cycles.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 #: Lifecycle states a submitted run moves through.  Terminal states are
@@ -49,7 +49,18 @@ class RoundStatus:
     seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        return {
+            "run_id": self.run_id,
+            "step": self.step,
+            "steps_run": self.steps_run,
+            "participants": self.participants,
+            "synced": self.synced,
+            "evaluated": self.evaluated,
+            "accuracy": self.accuracy,
+            "loss": self.loss,
+            "reached_target": self.reached_target,
+            "seconds": self.seconds,
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RoundStatus":
@@ -91,7 +102,19 @@ class RunStatus:
         return self.state in TERMINAL_STATES
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        return {
+            "run_id": self.run_id,
+            "state": self.state,
+            "sampler": self.sampler,
+            "seed": self.seed,
+            "num_steps": self.num_steps,
+            "steps_run": self.steps_run,
+            "preset": self.preset,
+            "final_accuracy": self.final_accuracy,
+            "reached_target_at": self.reached_target_at,
+            "error": self.error,
+            "resumed_from_step": self.resumed_from_step,
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunStatus":
@@ -149,7 +172,21 @@ class RunResultSummary:
     history: Dict[str, List[float]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        return {
+            "run_id": self.run_id,
+            "sampler": self.sampler,
+            "steps_run": self.steps_run,
+            "final_accuracy": self.final_accuracy,
+            "best_accuracy": self.best_accuracy,
+            "reached_target_at": self.reached_target_at,
+            "mean_participants_per_step": self.mean_participants_per_step,
+            "late_admits": self.late_admits,
+            "late_drops": self.late_drops,
+            "devices_joined": self.devices_joined,
+            "devices_left": self.devices_left,
+            "cloud_model_sha256": self.cloud_model_sha256,
+            "history": dict(self.history),
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunResultSummary":

@@ -63,6 +63,14 @@ RUN_SURFACE = {
     "--quiet": (False, None, None, None),
 }
 
+#: ``resume`` takes the same flags; its preset and sampler default to the
+#: checkpoint's.
+RESUME_SURFACE = {
+    **RUN_SURFACE,
+    "--preset": (None, *RUN_SURFACE["--preset"][1:]),
+    "--sampler": (None, *RUN_SURFACE["--sampler"][1:]),
+}
+
 #: ``flag -> (ScenarioConfig field, argument, parsed value)``.
 SCENARIO_FLAGS = {
     "--devices": ("num_devices", "60", 60),
@@ -110,6 +118,7 @@ def scenario_for(monkeypatch, *argv):
 
 @pytest.mark.parametrize("build", [runner._run_parser, runner._resume_parser])
 def test_run_surface_is_pinned(build):
+    expected = RESUME_SURFACE if build is runner._resume_parser else RUN_SURFACE
     surface = {}
     for action in build()._actions:
         if isinstance(action, argparse._HelpAction) or not action.option_strings:
@@ -117,7 +126,7 @@ def test_run_surface_is_pinned(build):
         (option,) = action.option_strings
         choices = tuple(action.choices) if action.choices else None
         surface[option] = (action.default, choices, action.type, action.metavar)
-    assert surface == RUN_SURFACE
+    assert surface == expected
 
 
 def test_every_scenario_flag_is_mapped():

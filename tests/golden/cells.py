@@ -17,6 +17,11 @@ completion.  Two variants widen a cell:
 model's SHA-256, the per-device participation counts, the participants
 per step and per edge round, a SHA-256 over the evaluation history
 (steps, accuracy and loss bits) and the open-world counters.
+
+Image presets seed their synthetic class prototypes through ``hash``,
+so their data depends on ``PYTHONHASHSEED``.  Image cells therefore run
+under ``PYTHONHASHSEED=0``: :func:`fingerprint_isolated` runs one in
+such a subprocess, through ``python -m tests.golden.cells NAME``.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional
@@ -35,6 +42,7 @@ from repro.experiments.runner import build_scenario, hfl_config_for, make_sample
 from repro.hfl.telemetry import TelemetryRecorder
 from repro.hfl.trainer import HFLTrainer
 
+REPO = Path(__file__).resolve().parents[2]
 FINGERPRINTS = Path(__file__).resolve().parent / "fingerprints.json"
 
 #: Every CNN edge round of the ``min_stack`` cells holds at least this
@@ -50,6 +58,10 @@ class Cell(NamedTuple):
     kill_at: Optional[int] = None
     trim: Optional[Dict[int, int]] = None
     min_stack: bool = False
+
+    @property
+    def needs_hash_seed(self) -> bool:
+        return PRESETS[self.preset].task != "blobs"
 
 
 #: 300 devices, 10% participation, top-k MACH on a streaming trace.
@@ -197,6 +209,22 @@ def fingerprint(name: str) -> dict:
     }
 
 
+def fingerprint_isolated(name: str) -> dict:
+    """:func:`fingerprint` in a subprocess under ``PYTHONHASHSEED=0``."""
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED="0",
+        PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(REPO)]),
+    )
+    completed = subprocess.run(
+        [sys.executable, "-m", "tests.golden.cells", name],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
+    )
+    if completed.returncode != 0:
+        raise RuntimeError(f"cell {name} failed:\n{completed.stderr}")
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
 def load_fingerprints() -> dict:
     return json.loads(FINGERPRINTS.read_text())
 
@@ -212,3 +240,7 @@ def dump_fingerprints(numpy_version: str, cells: Dict[str, dict]) -> str:
         f' "numpy": {json.dumps(numpy_version)},\n'
         ' "cells": {\n' + ",\n".join(lines) + "\n }\n}\n"
     )
+
+
+if __name__ == "__main__":
+    print(json.dumps(fingerprint(sys.argv[1])))

@@ -10,13 +10,22 @@ its serial cell, and every CNN edge round must stack at least
 these hold.  The file was first recorded while the engine still carried
 runnable reference twins of its optimised paths (the unfused local
 update, the per-device loop, the pre-topology trainer and others), with
-every cell agreeing across them.
+every cell agreeing across them.  Image cells need
+``PYTHONHASHSEED=0``, so the script re-runs itself under it.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
+
+if os.environ.get("PYTHONHASHSEED") != "0":
+    os.execve(
+        sys.executable,
+        [sys.executable, os.path.abspath(__file__), *sys.argv[1:]],
+        dict(os.environ, PYTHONHASHSEED="0"),
+    )
 
 sys.path[:0] = [str(Path(__file__).resolve().parents[2] / "src"),
                 str(Path(__file__).resolve().parents[2])]

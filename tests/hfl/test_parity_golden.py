@@ -16,10 +16,11 @@ pinned before the fingerprint file existed, and keep their own tests
 here; a few more cells back a named test in the file of the contract
 they pin (``tests.golden.pinned.NAMED``).  One loop checks the rest.
 
-The floating-point results depend on numpy, so the cells skip under any
-other numpy than the one the file was recorded with; the CI test job
-pins that version on its Python 3.11 leg, and its Python 3.9 leg skips
-them.
+Image cells run in a subprocess under ``PYTHONHASHSEED=0`` because the
+synthetic image data depends on ``hash``.  The floating-point results
+depend on numpy, so the cells skip under any other numpy than the one
+the file was recorded with; the CI test job pins that version on its
+Python 3.11 leg, and its Python 3.9 leg skips them.
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ from tests.service.test_recovery import interrupted_run
 
 STEPS = 12
 FILES = ("run.json", "checkpoint.json", "checkpoint.json.prev")
-MANIFEST_KEYS = ("run_id", "config", "sampler", "identity", "preset", "state",
-                 "steps_run", "error")
+MANIFEST_KEYS = ("run_id", "config", "sampler", "preset", "state", "steps_run",
+                 "error")
 IDENTITY_KEYS = ("seed", "num_steps", "participation_fraction", "sampler",
                  "data", "num_edges", "churn_profile")
 
