@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.data.synthetic import make_federated_task
+from repro.data.synthetic import TASK_SPECS, make_federated_task
 from repro.experiments.config import (
     CLI_FIELDS,
     FIELD_TYPES,
@@ -531,14 +531,23 @@ def _write_obs_outputs(args, obs, echo) -> None:
     obs.close()
 
 
-def _scenario_error(error: ValueError) -> int:
+def _scenario_error(error: ValueError, task: Optional[str] = None) -> int:
     """Report a scenario the engine rejects as one stderr line; exit 2.
 
     A :class:`~repro.faults.CheckpointMismatchError` also names the flag
-    that contradicts the checkpoint.
+    that contradicts the checkpoint.  No flag sets the data: a ``data``
+    mismatch of an image ``task`` names ``PYTHONHASHSEED``, which the
+    synthetic image data depends on.
     """
     hint = ""
-    if isinstance(error, CheckpointMismatchError):
+    if isinstance(error, CheckpointMismatchError) and error.field == "data":
+        hint = "; this scenario now builds other data"
+        if task in TASK_SPECS:
+            hint += (
+                ": image data depends on PYTHONHASHSEED, so resume under "
+                "the one that wrote the checkpoint"
+            )
+    elif isinstance(error, CheckpointMismatchError):
         hint = f"; check {_MISMATCH_FLAGS.get(error.field, '--preset')}"
     print(f"{_PROG}: error: {error}{hint}", file=sys.stderr)
     return 2
@@ -634,7 +643,7 @@ def _execute(args, config, sampler, resume_from=None, warning=None) -> int:
     except ValueError as error:
         if obs is not None:
             obs.close()
-        return _scenario_error(error)
+        return _scenario_error(error, config.task)
     elapsed = time.perf_counter() - start
 
     reached = (

@@ -180,6 +180,27 @@ def im2col(
     return cols, out_h, out_w
 
 
+def conv_forward(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Conv output ``w @ cols``: (..., O, K) by (..., B, K, P) → (..., B, O, P).
+
+    The three conv contractions run over leading axes, so a device's
+    (O, K) weight and a population's (D, O, K) stack issue the same 2-D
+    gemm per (d, b) slice, and the stacked conv reproduces the layer
+    bit for bit (DESIGN.md §14).
+    """
+    return np.matmul(w[..., None, :, :], cols)
+
+
+def conv_weight_grad(grad: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Weight gradient ``Σ_b grad_b @ cols_bᵀ`` → (..., O, K)."""
+    return np.matmul(grad, np.swapaxes(cols, -1, -2)).sum(axis=-3)
+
+
+def conv_cols_grad(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Column gradient ``wᵀ @ grad`` → (..., B, K, P), for :func:`col2im`."""
+    return np.matmul(np.swapaxes(w, -1, -2)[..., None, :, :], grad)
+
+
 def col2im(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],

@@ -21,7 +21,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.nn.functional import ConvWorkspace, col2im, conv_output_size, im2col
+from repro.nn.functional import (
+    ConvWorkspace,
+    col2im,
+    conv_cols_grad,
+    conv_forward,
+    conv_output_size,
+    conv_weight_grad,
+    im2col,
+)
 from repro.nn.parameters import Parameter
 
 
@@ -205,8 +213,8 @@ class Conv2d(Layer):
             x, self.kernel_size, self.stride, self.padding, workspace=self._workspace
         )
         w_mat = self.weight.value.reshape(self.out_channels, -1)
-        # (B, out_c, out_h*out_w) = (out_c, k) @ (B, k, out_h*out_w)
-        out = np.einsum("ok,bkp->bop", w_mat, cols) + self.bias.value[None, :, None]
+        out = conv_forward(w_mat, cols)
+        out += self.bias.value[:, None]
         if training:
             self._cache = (x.shape, cols)
         return out.reshape(x.shape[0], self.out_channels, out_h, out_w)
@@ -219,16 +227,15 @@ class Conv2d(Layer):
         x_shape, cols = self._cache
         batch = grad_out.shape[0]
         grad_mat = grad_out.reshape(batch, self.out_channels, -1)
-
-        w_mat = self.weight.value.reshape(self.out_channels, -1)
-        self.weight.grad += np.einsum("bop,bkp->ok", grad_mat, cols).reshape(
+        self.weight.grad += conv_weight_grad(grad_mat, cols).reshape(
             self.weight.value.shape
         )
         self.bias.grad += grad_mat.sum(axis=(0, 2))
         if not input_grad:
             return None
 
-        grad_cols = np.einsum("ok,bop->bkp", w_mat, grad_mat)
+        w_mat = self.weight.value.reshape(self.out_channels, -1)
+        grad_cols = conv_cols_grad(w_mat, grad_mat)
         return col2im(
             grad_cols,
             x_shape,

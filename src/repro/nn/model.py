@@ -273,8 +273,8 @@ class Sequential(Model):
 
         With ``input_grad=False`` the walk ends at the first layer with
         parameters: it accumulates its parameter gradients and skips its
-        input gradient (for a conv layer 0, a ``grad_cols`` einsum plus
-        a col2im over the raw image), and the layers before it are not
+        input gradient (for a conv layer 0, the column-gradient matmul
+        plus a col2im over the raw image), and the layers before it are not
         visited at all.  Parameter gradients are the same either way.
         """
         grad = grad_out

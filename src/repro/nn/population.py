@@ -11,8 +11,9 @@ round's sampled devices at once over that matrix:
   C-contiguous 2-D arrays the per-device loop feeds BLAS, so every
   device's slice reproduces its per-device result bit for bit;
 - Conv2d runs ``im2col``/``col2im`` once over all D·B images and the
-  reference einsums with a leading ``d``; MaxPool2d runs the layer
-  itself over the D·B images;
+  same :mod:`repro.nn.functional` contraction helpers as the layer,
+  whose per-``(d, b)`` gemm is the per-device one; MaxPool2d runs the
+  layer itself over the D·B images;
 - the walk back ends at the first layer with parameters, which skips
   its input gradient, as ``Sequential.backward(input_grad=False)``
   does;
@@ -43,7 +44,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.nn.functional import ConvWorkspace, col2im, im2col
+from repro.nn.functional import (
+    ConvWorkspace,
+    col2im,
+    conv_cols_grad,
+    conv_forward,
+    conv_weight_grad,
+    im2col,
+)
 from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU
 from repro.nn.model import Model, Sequential, first_trainable
 
@@ -105,13 +113,14 @@ class _PopConv2d:
     """Stacked twin of :class:`repro.nn.layers.Conv2d` on (D, B, C, H, W).
 
     The D·B images go through one :func:`im2col` / :func:`col2im` call
-    (a reshape to (D·B, C, H, W)), and the three contractions add a
-    leading ``d`` to the reference einsum subscripts.  Stacked einsum
-    reproduces the per-device einsum bit for bit (``matmul`` would not
-    match einsum, so the reference's einsum is kept); the bias gradient
-    ``sum(axis=(1, 3))`` reduces each slice like the reference's
-    ``sum(axis=(0, 2))``.  ``workspace`` outlives the round: the
-    :class:`PopulationModel` keeps one per conv layer.
+    (a reshape to (D·B, C, H, W)), and the three contractions are the
+    layer's own helpers (:func:`conv_forward`, :func:`conv_weight_grad`,
+    :func:`conv_cols_grad`) with a leading ``d``: each ``(d, b)`` slice
+    is the gemm the layer issues, the weight gradient's batch sum over
+    axis 1 adds the slices in the order of the layer's axis 0, and the
+    bias gradient ``sum(axis=(1, 3))`` reduces each slice like the
+    layer's ``sum(axis=(0, 2))``.  ``workspace`` outlives the round:
+    the :class:`PopulationModel` keeps one per conv layer.
     """
 
     def __init__(
@@ -140,7 +149,7 @@ class _PopConv2d:
             images, *self.geometry, workspace=self.workspace
         )
         cols = cols.reshape(pop, batch, cols.shape[1], cols.shape[2])
-        out = np.einsum("dok,dbkp->dbop", self.w, cols)
+        out = conv_forward(self.w, cols)
         out += self.b[:, None, :, None]
         self._cache = (images.shape, cols)
         return out.reshape(pop, batch, -1, out_h, out_w)
@@ -151,13 +160,11 @@ class _PopConv2d:
         images_shape, cols = self._cache
         pop, batch, channels = grad_out.shape[:3]
         grad_mat = grad_out.reshape(pop, batch, channels, -1)
-        self.gw += np.einsum("dbop,dbkp->dok", grad_mat, cols).reshape(
-            self.gw.shape
-        )
+        self.gw += conv_weight_grad(grad_mat, cols).reshape(self.gw.shape)
         self.gb += grad_mat.sum(axis=(1, 3))
         if not input_grad:
             return None
-        grad_cols = np.einsum("dok,dbop->dbkp", self.w, grad_mat)
+        grad_cols = conv_cols_grad(self.w, grad_mat)
         grad_in = col2im(
             grad_cols.reshape((pop * batch,) + grad_cols.shape[2:]),
             images_shape,

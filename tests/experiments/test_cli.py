@@ -172,9 +172,8 @@ def seed3_checkpoint(tmp_path):
     return path
 
 
-def test_resume_takes_the_checkpoint_seed(seed3_checkpoint, monkeypatch):
-    """``resume`` without ``--seed`` continues under the checkpoint's
-    seed and finishes where the uninterrupted run does."""
+def spy_results(monkeypatch):
+    """The results of every ``run_scenario`` call the CLI makes, in order."""
     results = []
     original = api.run_scenario
 
@@ -183,12 +182,30 @@ def test_resume_takes_the_checkpoint_seed(seed3_checkpoint, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(api, "run_scenario", spy)
-    assert runner.main(["resume", str(seed3_checkpoint), *RESUME_RUN]) == 0
-    assert runner.main(["run", *RESUME_RUN, "--seed", "3"]) == 0
-    resumed, uninterrupted = results
+    return results
+
+
+def assert_same_run(resumed, uninterrupted):
+    """The cloud model changes only at sync steps, so the steps after the
+    last sync show only in the per-step record: the evaluation history
+    (the last evaluation reads the edge models) and who took part."""
     np.testing.assert_array_equal(
         resumed.final_cloud_model, uninterrupted.final_cloud_model
     )
+    assert resumed.history == uninterrupted.history
+    np.testing.assert_array_equal(
+        resumed.participation_counts, uninterrupted.participation_counts
+    )
+
+
+def test_resume_takes_the_checkpoint_seed(seed3_checkpoint, monkeypatch):
+    """``resume`` without ``--seed`` continues under the checkpoint's
+    seed and finishes where the uninterrupted run does, steps 9-10
+    after the last sync included."""
+    results = spy_results(monkeypatch)
+    assert runner.main(["resume", str(seed3_checkpoint), *RESUME_RUN]) == 0
+    assert runner.main(["run", *RESUME_RUN, "--seed", "3"]) == 0
+    assert_same_run(*results)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -212,19 +229,6 @@ def test_resume_mismatch_is_one_line_naming_the_flag(
     assert err.rstrip().endswith(f"check {flag}")
 
 
-def spy_results(monkeypatch):
-    """The results of every ``run_scenario`` call the CLI makes, in order."""
-    results = []
-    original = api.run_scenario
-
-    def spy(*args, **kwargs):
-        results.append(original(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(api, "run_scenario", spy)
-    return results
-
-
 #: A scenario far from its preset: faults, churn, low participation, a
 #: seed and a horizon of its own.
 NON_DEFAULT_RUN = ["--preset", "blobs-bench", "--fault-profile", "moderate",
@@ -245,9 +249,7 @@ def test_resume_needs_only_the_checkpoint(tmp_path, monkeypatch):
     uninterrupted, resumed = results
     assert resumed.steps_run == 12
     assert resumed.sampler_name == "uniform"
-    np.testing.assert_array_equal(
-        resumed.final_cloud_model, uninterrupted.final_cloud_model
-    )
+    assert_same_run(resumed, uninterrupted)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -265,18 +267,45 @@ def test_resume_refuses_another_scenario(seed3_checkpoint, capsys, flag, value):
     assert err.rstrip().endswith(f"check {flag}")
 
 
+def run_python(*args, **env):
+    """``python *args`` in a fresh interpreter with ``src`` on its path
+    and ``env`` over the environment."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=str(src), **env),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_module_cli_imports_the_runner_once():
     """``python -m repro.experiments.runner`` runs without runpy's
     warning that the package had already imported the module."""
-    src = Path(__file__).resolve().parents[2] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    completed = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m",
-         "repro.experiments.runner", "run", "--steps", "2", "--quiet"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    completed = run_python("-W", "error::RuntimeWarning", "-m",
+                           "repro.experiments.runner", "run", "--steps", "2",
+                           "--quiet")
     assert completed.returncode == 0, completed.stderr
     assert completed.stderr == ""
+
+
+def test_image_resume_under_another_hash_seed_names_it(tmp_path):
+    """The synthetic image data depends on ``PYTHONHASHSEED``, which no
+    flag sets: resuming an image checkpoint under another one exits 2
+    with one line that names it, not a flag."""
+    path = tmp_path / "c.json"
+    cli = ("-m", "repro.experiments.runner")
+    written = run_python(*cli, "run", "--preset", "mnist-bench",
+                         "--devices", "12", "--edges", "2", "--steps", "2",
+                         "--checkpoint-every", "1", "--checkpoint-path",
+                         str(path), "--quiet", PYTHONHASHSEED="0")
+    assert written.returncode == 0, written.stderr
+    resumed = run_python(*cli, "resume", str(path), "--quiet",
+                         PYTHONHASHSEED="1")
+    assert resumed.returncode == 2
+    (line,) = resumed.stderr.strip().splitlines()
+    assert "data=" in line
+    assert line.endswith("resume under the one that wrote the checkpoint")
+    assert "PYTHONHASHSEED" in line and "check --" not in line
 
 
 @pytest.mark.parametrize("flags", [

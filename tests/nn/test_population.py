@@ -25,13 +25,15 @@ def make_mlp(rng, in_features=16, hidden=24, classes=10):
 
 
 def reference_updates(model, start, xs, ys, lr):
-    """Per-device hot-path loop (Device.local_update's exact math)."""
+    """Per-device hot-path loop (Device.local_update's exact math) from
+    one ``(P,)`` start or a ``(D, P)`` matrix of per-device starts."""
     loss_fn = SoftmaxCrossEntropy()
-    finals = np.empty((xs.shape[1], start.size))
+    starts = np.broadcast_to(start, (xs.shape[1], start.shape[-1]))
+    finals = np.empty(starts.shape)
     losses = np.empty((xs.shape[1], xs.shape[0]))
     grad_sq = np.empty_like(losses)
     for d in range(xs.shape[1]):
-        model.load_flat(start)
+        model.load_flat(starts[d])
         for tau in range(xs.shape[0]):
             loss, grad = model.loss_and_grad(
                 xs[tau, d], ys[tau, d], loss_fn, sgd_lr=lr
@@ -133,13 +135,20 @@ class TestCNNBitIdentity:
         "task, shape", [("mnist", (1, 12, 12)), ("cifar10", (3, 16, 16))]
     )
     def test_stacked_cnn_matches_per_device(self, rng, task, shape, scale):
+        """Batch sizes around the workloads' 8 pin the weight gradient's
+        batch-axis sum; a ``(D, P)`` start matrix gives every device
+        its own weights, as a step chunk spanning edge rounds does."""
         model = build_model(task, shape, scale=scale, rng=rng)
         start = model.flat_copy()
-        xs, ys = self.batches(rng, shape, epochs=3, pop=4)
-        reference = reference_updates(model, start, xs, ys, 0.05)
-        stacked = PopulationModel(model).local_updates(start, xs, ys, 0.05)
-        for got, want in zip(stacked, reference):
-            np.testing.assert_array_equal(got, want)
+        starts = start + 0.05 * rng.normal(size=(4, start.size))
+        pop = PopulationModel(model)
+        for batch in (1, 3, 8):
+            xs, ys = self.batches(rng, shape, epochs=3, pop=4, batch=batch)
+            for begin in (start, starts):
+                reference = reference_updates(model, begin, xs, ys, 0.05)
+                stacked = pop.local_updates(begin, xs, ys, 0.05)
+                for got, want in zip(stacked, reference):
+                    np.testing.assert_array_equal(got, want)
 
     def test_workspace_reuse_across_population_sizes(self, rng):
         """Rounds of different D share one PopulationModel, whose conv

@@ -18,7 +18,10 @@ from repro.nn.architectures import build_mnist_cnn
 from repro.nn.functional import (
     ConvWorkspace,
     col2im,
+    conv_cols_grad,
+    conv_forward,
     conv_output_size,
+    conv_weight_grad,
     im2col,
     one_hot,
     softmax,
@@ -141,16 +144,15 @@ class TestConvLayerParity:
         # The same contractions on freshly allocated columns.
         cols, out_h, out_w = im2col(x, kernel, stride, padding)
         w_mat = layer.weight.value.reshape(2, -1)
-        out = np.einsum("ok,bkp->bop", w_mat, cols) + layer.bias.value[None, :, None]
+        out = conv_forward(w_mat, cols) + layer.bias.value[None, :, None]
         grad_mat = grad_seed.reshape(batch, 2, -1)
         grad_in = col2im(
-            np.einsum("ok,bop->bkp", w_mat, grad_mat),
-            x.shape, kernel, stride, padding,
+            conv_cols_grad(w_mat, grad_mat), x.shape, kernel, stride, padding
         )
         reference = (
             out.reshape(batch, 2, out_h, out_w),
             grad_in,
-            np.einsum("bop,bkp->ok", grad_mat, cols).reshape(layer.weight.value.shape),
+            conv_weight_grad(grad_mat, cols).reshape(layer.weight.value.shape),
             grad_mat.sum(axis=(0, 2)),
         )
         for _ in range(2):  # the second pass reuses the workspace
